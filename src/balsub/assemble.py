@@ -19,7 +19,7 @@ from .certify import (
     SubdivisionCertificate,
     best_balanced_clique,
     brute_force_subdivision,
-    verify_subdivision,
+    require_verified,
 )
 from .connect import PathWitness
 from .drc import dense_tk2
@@ -42,6 +42,7 @@ from .outcomes import (
     BuildFailure,
     DensityTooLowError,
     InvalidArgumentError,
+    SearchBudgetExceeded,
 )
 from .router import exact_path_in_region
 
@@ -294,6 +295,7 @@ def find_balanced_subdivision(
     budget = cfg.overrides.node_budget
     for i, j in combinations(range(len(kept)), 2):
         found = None
+        missed = "no segment"
         for hi in list(hub_free[i]):
             if found:
                 break
@@ -312,7 +314,11 @@ def find_balanced_subdivision(
                 allowed = frozenset(
                     v for v in g.vertices() if v not in blocked
                 )
-                seg = exact_path_in_region(g, allowed, ca, (cb,), seg_len, budget)
+                try:
+                    seg = exact_path_in_region(g, allowed, ca, (cb,), seg_len, budget)
+                except SearchBudgetExceeded:
+                    missed = "segment budget exhausted"
+                    continue
                 if seg is None:
                     continue
                 full = (
@@ -331,9 +337,7 @@ def find_balanced_subdivision(
                 connected.add((i, j))
                 found = witness
                 break
-        trace.add(
-            f"pair ({i},{j}): " + ("connected" if found else "no segment")
-        )
+        trace.add(f"pair ({i},{j}): " + ("connected" if found else missed))
 
     good, bad = classify_units(kept, usage, bad_threshold)
     good_idx = [i for i, unit in enumerate(kept) if unit in good]
@@ -351,8 +355,7 @@ def find_balanced_subdivision(
             for i, j in combinations(sorted(clique), 2)
         }
         cert = SubdivisionCertificate.from_paths(ell, branch, paths)
-        report = verify_subdivision(g, cert)
-        assert report.passed, report.failures()
+        require_verified(g, cert)
         trace.route = trace.route or "units"
         return cert
     return BuildFailure(
@@ -475,8 +478,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
         result = find_balanced_subdivision(expander.graph, cfg, trace)
         if isinstance(result, SubdivisionCertificate):
             lifted = _lift_certificate(result, expander.ids)
-            report = verify_subdivision(g, lifted)
-            assert report.passed, report.failures()
+            require_verified(g, lifted)
             trace.route = "units"
             return PipelineOutcome("certificate", trace, certificate=lifted)
         trace.add(f"unit pipeline: {result.reason} ({result.detail})")

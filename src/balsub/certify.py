@@ -1,9 +1,10 @@
 """Balanced-subdivision certificates, their verifier, and small oracles.
 
 A certificate is host-independent data; verification recomputes every
-clause against a concrete graph.  The brute-force oracle is three-valued:
-NotFound is a proof of absence only when the search completed within
-budget.
+clause against a concrete graph.  The brute-force oracle enumerates the
+pair paths with `router.exact_paths` under one node budget shared by the
+whole search, and is three-valued: NotFound is a proof of absence only
+when the search completed within budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Iterable, Mapping
 
 from .connect import PathWitness
 from .graph import Graph
-from .outcomes import Clause, InvalidArgumentError, ValidationReport
+from .outcomes import Clause, InvalidArgumentError, SearchBudgetExceeded, ValidationReport
+from .router import exact_paths
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,15 @@ def verify_subdivision(g: Graph, cert: SubdivisionCertificate) -> ValidationRepo
     return ValidationReport(tuple(clauses))
 
 
+def require_verified(g: Graph, cert: SubdivisionCertificate) -> None:
+    """The gate before the library returns a certificate it built: raise
+    AssertionError unless `cert` passes every clause against `g`.  An
+    explicit raise rather than an assert, so `python -O` keeps it."""
+    report = verify_subdivision(g, cert)
+    if not report.passed:
+        raise AssertionError(report.failures())
+
+
 # -- brute-force oracles --------------------------------------------------------
 
 
@@ -159,51 +170,6 @@ class NotFound:
 @dataclass(frozen=True)
 class BudgetExhausted:
     nodes: int
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
-def _paths_of_length(
-    g: Graph,
-    u: int,
-    v: int,
-    length: int,
-    banned: set[int],
-    counter: list[int],
-    budget: int,
-):
-    """Yield simple u-v paths with exactly `length` edges whose internal
-    vertices avoid `banned`."""
-
-    path = [u]
-    on_path = {u}
-
-    def step(cur: int, remaining: int):
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _OutOfBudget
-        if remaining == 0:
-            if cur == v:
-                yield tuple(path)
-            return
-        for nxt in g.neighbors(cur):
-            if nxt == v:
-                if remaining == 1:
-                    path.append(nxt)
-                    yield tuple(path)
-                    path.pop()
-                continue
-            if nxt in on_path or nxt in banned:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            yield from step(nxt, remaining - 1)
-            path.pop()
-            on_path.discard(nxt)
-
-    yield from step(u, length)
 
 
 def brute_force_subdivision(
@@ -219,19 +185,18 @@ def brute_force_subdivision(
     """
     if k < 2 or ell < 1:
         raise InvalidArgumentError("need k >= 2 and ell >= 1")
-    counter = [0]
+    spent = [0]
     need = k + comb(k, 2) * (ell - 1)
     comps = [c for c in g.components() if len(c) >= need]
+    everything = frozenset(g.vertices())
 
-    def fill(branch: tuple[int, ...], pair_idx: int, used: set[int], acc: dict):
+    def fill(branch: tuple[int, ...], pair_idx: int, allowed: frozenset[int], acc: dict):
         if pair_idx == len(all_pairs):
             return SubdivisionCertificate.from_paths(ell, branch, dict(acc))
         u, v = all_pairs[pair_idx]
-        banned = used | set(branch)
-        for path in _paths_of_length(g, u, v, ell, banned, counter, budget):
-            inner = set(path[1:-1])
+        for path in exact_paths(g, u, frozenset({v}), ell, allowed, spent, budget):
             acc[(u, v)] = PathWitness(path)
-            found = fill(branch, pair_idx + 1, used | inner, acc)
+            found = fill(branch, pair_idx + 1, allowed - set(path), acc)
             if found is not None:
                 return found
             del acc[(u, v)]
@@ -241,13 +206,12 @@ def brute_force_subdivision(
         for comp in comps:
             for branch in combinations(comp, k):
                 all_pairs = list(combinations(branch, 2))
-                found = fill(branch, 0, set(), {})
+                found = fill(branch, 0, everything.difference(branch), {})
                 if found is not None:
-                    report = verify_subdivision(g, found)
-                    assert report.passed, report.failures()
+                    require_verified(g, found)
                     return found
-    except _OutOfBudget:
-        return BudgetExhausted(counter[0])
+    except SearchBudgetExceeded:
+        return BudgetExhausted(spent[0])
     return NotFound()
 
 

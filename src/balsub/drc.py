@@ -14,10 +14,10 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable
 
-from .certify import SubdivisionCertificate, verify_subdivision
+from .certify import SubdivisionCertificate, require_verified
 from .connect import PathWitness
 from .graph import Graph
-from .outcomes import BuildFailure, InvalidArgumentError
+from .outcomes import BuildFailure, InvalidArgumentError, SearchBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,6 @@ def drc_select(
 # -- dense TK^(2) embedding ----------------------------------------------------
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _middle_matching(
     g: Graph, branch: list[int]
 ) -> dict[tuple[int, int], int] | None:
@@ -190,7 +186,7 @@ def dense_tk2(
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
-                raise _BudgetExceeded
+                raise SearchBudgetExceeded
             if len(branch) == k:
                 middles = _middle_matching(g, branch)
                 if middles is None:
@@ -228,10 +224,9 @@ def dense_tk2(
                 order = _drc_reorder(g, comp, coloring, k, seed, order)
             cert = search(order)
             if cert is not None:
-                report = verify_subdivision(g, cert)
-                assert report.passed, report.failures()
+                require_verified(g, cert)
                 return cert
-    except _BudgetExceeded:
+    except SearchBudgetExceeded:
         return BuildFailure(
             "no_embedding", f"search budget of {node_budget} nodes exhausted"
         )
@@ -365,6 +360,5 @@ def robust_degree_or_tk2(
             for (u, v), path in attempt.pairs()
         },
     )
-    report = verify_subdivision(g, lifted)
-    assert report.passed, report.failures()
+    require_verified(g, lifted)
     return RobustDegreeVerdict("found_tk2", average, threshold, lifted)

@@ -18,6 +18,7 @@ from .outcomes import (
     BuildFailure,
     Clause,
     InvalidArgumentError,
+    SearchBudgetExceeded,
     ValidationReport,
 )
 from .router import REALIZE_CAP, realize_exact_length, simple_path_lengths
@@ -631,7 +632,8 @@ def validate_adjuster(
 
     The length menu is verified by exhaustive search; centers above the
     cap get the distinct clause name a4_menu_deferred instead of a fake
-    pass."""
+    pass, and lengths the search leaves undecided within its node budget
+    fail a4_menu and are named in its detail."""
     clauses: list[Clause] = []
     parts = [adj.center, adj.end1.vertices, adj.end2.vertices]
     disjoint = (
@@ -668,21 +670,21 @@ def validate_adjuster(
             )
         )
         return ValidationReport(tuple(clauses))
-    missing = [
-        want
-        for want in adj.menu()
-        if realize_exact_length(
-            g, adj.center, adj.core1, adj.core2, want, cap=realize_cap
-        )
-        is None
-    ]
-    clauses.append(
-        Clause(
-            "a4_menu",
-            not missing,
-            "" if not missing else f"unrealizable lengths: {missing}",
-        )
-    )
+    missing, undecided = [], []
+    for want in adj.menu():
+        try:
+            if realize_exact_length(
+                g, adj.center, adj.core1, adj.core2, want, cap=realize_cap
+            ) is None:
+                missing.append(want)
+        except SearchBudgetExceeded:
+            undecided.append(want)
+    problems = []
+    if missing:
+        problems.append(f"unrealizable lengths: {missing}")
+    if undecided:
+        problems.append(f"undecided lengths (search budget exhausted): {undecided}")
+    clauses.append(Clause("a4_menu", not problems, "; ".join(problems)))
     return ValidationReport(tuple(clauses))
 
 

@@ -26,6 +26,11 @@ class DensityTooLowError(ValueError):
     """Average degree is below the threshold the operation requires."""
 
 
+class SearchBudgetExceeded(Exception):
+    """A bounded search spent its node budget before it could either
+    produce an answer or prove that none exists."""
+
+
 @dataclass(frozen=True)
 class BuildFailure:
     """Returned when a builder gives up honestly instead of raising.

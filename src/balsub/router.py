@@ -1,19 +1,23 @@
 """Routing paths with prescribed lengths.
 
-Provides the exact-length search used to read an adjuster's length menu,
-plus the two windowed connectors: single endpoint into a target set, and
-a pair of target sets joined through two expansions.
+`exact_paths` is the one exact-length path search: iterative, depth first
+in ascending id order, pruned by a distance bound, a parity cut and a memo
+of dead states, under a node budget callers can share.  It serves the
+single-path searches and the length menu here and the brute-force oracle
+in `certify`.  Also provides the two windowed connectors: single endpoint
+into a target set, and a pair of target sets joined through two expansions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .connect import PathWitness, short_connect
 from .graph import Graph
-from .outcomes import BuildFailure, InvalidArgumentError, TooLargeError
+from .outcomes import BuildFailure, InvalidArgumentError, SearchBudgetExceeded, TooLargeError
 
 MENU_CAP = 24
 REALIZE_CAP = 26
@@ -33,72 +37,92 @@ class LengthWindow:
         return self.lo <= length <= self.hi
 
 
-def _exact_search(
+def exact_paths(
     g: Graph,
-    allowed: frozenset[int],
     start: int,
     targets: frozenset[int],
     length: int,
-    budget: int = _SEARCH_BUDGET,
-) -> list[int] | None:
-    """Simple path of exactly `length` edges from start to any target.
+    allowed: frozenset[int],
+    spent: list[int],
+    budget: float,
+) -> Iterator[tuple[int, ...]]:
+    """Every simple path of exactly `length` edges from `start` to a vertex
+    of `targets`, with every interior vertex in `allowed`; targets are
+    terminal.
 
-    Interior vertices come from `allowed` only; targets are terminal.
-    Prunes with a distance lower bound from the target set, a parity cut
-    on bipartite regions, and a memo of failed (vertex, visited) states.
+    Iterative depth-first search over the host's adjacency, neighbours in
+    ascending id order.  Prunes with a distance bound toward the targets, a
+    parity cut, and a memo of (vertex, visited) states that yielded nothing.
+    Each expanded node adds one to `spent[0]`, which callers may share
+    across searches; once it passes `budget` the search raises
+    SearchBudgetExceeded.
     """
     if length < 1 or start in targets:
-        return None
-    region = sorted(allowed | targets | {start})
-    index = {v: i for i, v in enumerate(region)}
-    sub, ids = g.induced(region)
-    local_targets = frozenset(index[t] for t in targets)
-    local_start = index[start]
-    # distances toward the target set never shrink as vertices are used up
-    dist = sub.bfs_distances(local_targets)
-    coloring = sub.two_coloring()
+        return
+    # BFS from the targets through `allowed` (start is reached, not crossed)
+    # to depth `length`.  If every edge it examines joins depths of opposite
+    # parity, any path from w to a target has the parity of depth[w]; edges
+    # it skips join two vertices at depth `length`, which no path here uses.
+    depth = dict.fromkeys(targets, 0)
+    frontier = sorted(targets)
+    parity = True
+    d = 0
+    while frontier and d < length:
+        d += 1
+        reached = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in allowed and w != start:
+                    continue
+                if w not in depth:
+                    depth[w] = d
+                    if w != start:
+                        reached.append(w)
+                elif depth[w] % 2 != d % 2:
+                    parity = False
+        frontier = reached
 
-    adj = [tuple(w for w in sub.neighbors(v)) for v in sub.vertices()]
+    def viable(w: int, remaining: int) -> bool:
+        dw = depth.get(w)
+        return dw is not None and dw <= remaining and not (parity and (remaining - dw) % 2)
+
+    if not viable(start, length):
+        return
     failed: set[tuple[int, int]] = set()
-    steps = 0
-
-    def dfs(cur: int, visited: int, remaining: int) -> list[int] | None:
-        nonlocal steps
-        steps += 1
-        if steps > budget:
-            return None
-        key = (cur, visited)
-        if key in failed:
-            return None
-        for w in adj[cur]:
+    path = [start]
+    visited = 1 << start
+    frames = [iter(g.neighbors(start))]
+    # yields so far when each frame was entered: a frame that leaves the
+    # count unchanged yielded nothing, so its state goes in the memo
+    marks = [0]
+    yields = 0
+    spent[0] += 1
+    while frames:
+        # every node expansion is followed by this check
+        if spent[0] > budget:
+            raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
+        remaining = length - len(path)  # edges left after the next step
+        for w in frames[-1]:
             if visited >> w & 1:
                 continue
-            if w in local_targets:
-                if remaining == 1:
-                    return [w]
+            if w in targets:
+                if remaining == 0:
+                    yields += 1
+                    yield (*path, w)
                 continue
-            if remaining <= 1:
+            if remaining == 0 or not viable(w, remaining) or (w, visited | 1 << w) in failed:
                 continue
-            d = dist.get(w)
-            if d is None or d > remaining - 1:
-                continue
-            if coloring is not None and (remaining - 1 - d) % 2:
-                continue
-            sub_path = dfs(w, visited | 1 << w, remaining - 1)
-            if sub_path is not None:
-                return [w] + sub_path
-        failed.add(key)
-        return None
-
-    d0 = dist.get(local_start)
-    if d0 is None or d0 > length:
-        return None
-    if coloring is not None and (length - d0) % 2:
-        return None
-    found = dfs(local_start, 1 << local_start, length)
-    if found is None:
-        return None
-    return [ids[local_start]] + [ids[w] for w in found]
+            spent[0] += 1
+            path.append(w)
+            visited |= 1 << w
+            frames.append(iter(g.neighbors(w)))
+            marks.append(yields)
+            break
+        else:
+            frames.pop()
+            if marks.pop() == yields:
+                failed.add((path[-1], visited))
+            visited ^= 1 << path.pop()
 
 
 def exact_path_in_region(
@@ -111,13 +135,16 @@ def exact_path_in_region(
 ) -> list[int] | None:
     """Simple path of exactly `length` edges from start into `targets`,
     with every interior vertex drawn from `allowed`.  Returns host vertex
-    ids, or None when no such path exists within the node budget."""
+    ids, or None when no such path exists; raises SearchBudgetExceeded
+    when the search expands more than `budget` nodes before deciding."""
     allowed_set = g.check_subset(allowed)
-    target_set = frozenset(g.check_subset(targets))
+    target_set = g.check_subset(targets)
     g.check_vertex(start)
     if not target_set:
         raise InvalidArgumentError("need at least one target")
-    return _exact_search(g, allowed_set - target_set - {start}, start, target_set, length, budget)
+    inner = allowed_set - target_set - {start}
+    found = next(exact_paths(g, start, target_set, length, inner, [0], budget), None)
+    return None if found is None else list(found)
 
 
 def realize_exact_length(
@@ -128,22 +155,17 @@ def realize_exact_length(
     target: int,
     cap: int = REALIZE_CAP,
 ) -> PathWitness | None:
-    """Exhaustively search G[center + {v1, v2}] for a v1,v2-path of exactly
-    `target` edges.  Refuses regions above `cap` vertices."""
-    center_set = g.check_subset(center)
-    g.check_vertex(v1)
-    g.check_vertex(v2)
-    if v1 == v2:
-        raise InvalidArgumentError("endpoints must differ")
+    """Search G[center + {v1, v2}] for a v1,v2-path of exactly `target`
+    edges.  Refuses regions above `cap` vertices.  None means no such path
+    exists; SearchBudgetExceeded means the search could not decide."""
+    center_set = _check_endpoints(g, center, v1, v2, cap)
     if target < 1:
         raise InvalidArgumentError("target length must be >= 1")
-    region = center_set | {v1, v2}
-    if len(region) > cap:
-        raise TooLargeError(f"region has {len(region)} vertices, cap {cap}")
-    found = _exact_search(
-        g, center_set - {v1, v2}, v1, frozenset({v2}), target
+    found = next(
+        exact_paths(g, v1, frozenset({v2}), target, center_set, [0], _SEARCH_BUDGET),
+        None,
     )
-    return None if found is None else PathWitness(tuple(found))
+    return None if found is None else PathWitness(found)
 
 
 def simple_path_lengths(
@@ -154,30 +176,27 @@ def simple_path_lengths(
     cap: int = MENU_CAP,
 ) -> frozenset[int]:
     """All lengths of simple v1,v2-paths inside G[center + {v1, v2}]."""
+    center_set = _check_endpoints(g, center, v1, v2, cap)
+    return frozenset(
+        length
+        for length in range(1, len(center_set | {v1, v2}))
+        if next(exact_paths(g, v1, frozenset({v2}), length, center_set, [0], math.inf), None)
+        is not None
+    )
+
+
+def _check_endpoints(
+    g: Graph, center: Iterable[int], v1: int, v2: int, cap: int
+) -> frozenset[int]:
     center_set = g.check_subset(center)
     g.check_vertex(v1)
     g.check_vertex(v2)
     if v1 == v2:
         raise InvalidArgumentError("endpoints must differ")
-    region = sorted((center_set | {v1, v2}))
+    region = center_set | {v1, v2}
     if len(region) > cap:
         raise TooLargeError(f"region has {len(region)} vertices, cap {cap}")
-    index = {v: i for i, v in enumerate(region)}
-    sub, _ids = g.induced(region)
-    s, t = index[v1], index[v2]
-    lengths: set[int] = set()
-
-    def dfs(cur: int, visited: int, depth: int) -> None:
-        for w in sub.neighbors(cur):
-            if visited >> w & 1:
-                continue
-            if w == t:
-                lengths.add(depth + 1)
-                continue
-            dfs(w, visited | 1 << w, depth + 1)
-
-    dfs(s, 1 << s, 0)
-    return frozenset(lengths)
+    return center_set
 
 
 def _expansion_vertices(f) -> frozenset[int]:
@@ -296,14 +315,20 @@ def connect_with_length(
 
     note("direct in-window search")
     allowed = frozenset(g.vertices()) - avoid_set - u_set - {v}
+    undecided = []
     for target in range(window.lo, window.hi + 1):
-        found = _exact_search(g, allowed, v, u_set, target)
+        try:
+            found = next(exact_paths(g, v, u_set, target, allowed, [0], _SEARCH_BUDGET), None)
+        except SearchBudgetExceeded:
+            undecided.append(target)
+            continue
         if found is not None:
-            return PathWitness(tuple(found))
+            return PathWitness(found)
     return BuildFailure(
         "window_unreachable",
         f"no path from {v} into the target set with length in "
-        f"[{window.lo}, {window.hi}]",
+        f"[{window.lo}, {window.hi}]"
+        + (f"; search budget exhausted at lengths {undecided}" if undecided else ""),
     )
 
 

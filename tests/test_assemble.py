@@ -4,8 +4,14 @@ Paper-mode constants are frozen from an independent 40-digit recomputation
 (mpmath) of the defining formulas; they are integers, so equality is exact.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import balsub
 from balsub.assemble import (
     Overrides,
     PipelineOutcome,
@@ -203,6 +209,54 @@ def test_route_pipeline_exhausted():
     assert out.kind == "failure"
     assert out.failure.reason == "pipeline_exhausted"
     assert out.trace.entries  # the trace explains the attempts
+
+
+def test_segment_budget_exhaustion_is_traced():
+    out = top_level(
+        complete_graph(80), RunConfig(overrides=Overrides(ell=4, node_budget=0))
+    )
+    assert any(e.endswith(": segment budget exhausted") for e in out.trace.entries)
+    assert not any(e.endswith(": no segment") for e in out.trace.entries)
+
+
+# Runs under `python -O`, which strips assert statements: with verification
+# forced to fail, each route must raise rather than return its certificate.
+_GATE_SCRIPT = """
+import sys
+import balsub.certify
+from balsub.assemble import Overrides, RunConfig, top_level
+from balsub.generators import complete_graph, cycle_graph
+from balsub.outcomes import Clause, ValidationReport
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+balsub.certify.verify_subdivision = lambda g, cert: ValidationReport(
+    (Clause("forced_failure", False),)
+)
+cases = {
+    "dense": (complete_graph(8), RunConfig()),
+    "units": (complete_graph(80), RunConfig(overrides=Overrides(ell=4))),
+    "brute_force": (cycle_graph(8), RunConfig(mode="paper")),
+}
+for name, (g, cfg) in cases.items():
+    try:
+        out = top_level(g, cfg)
+    except AssertionError:
+        continue
+    sys.exit(f"{name}: returned {out.kind} with an unverified certificate")
+"""
+
+
+def test_certificate_gates_survive_python_O():
+    src = str(Path(balsub.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _GATE_SCRIPT],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_linear_rule_records_transform():

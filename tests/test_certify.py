@@ -217,6 +217,13 @@ def test_brute_force_budget():
         brute_force_subdivision(complete_graph(4), 2, 0)
 
 
+def test_brute_force_long_paths_do_not_recurse():
+    g = path_graph(1100)
+    cert = brute_force_subdivision(g, 2, 1099)
+    assert isinstance(cert, SubdivisionCertificate)
+    assert cert.pair_paths[0][1].vertices == tuple(range(1100))
+
+
 def test_brute_force_deterministic():
     g = gnp(8, 0.5, 3)
     a = brute_force_subdivision(g, 3, 2)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from balsub import router
 from balsub.connect import PathWitness
 from balsub.gadgets import (
     Adjuster,
@@ -373,6 +374,15 @@ def test_adjuster_hexagon():
     # claimed menu matches independent exhaustive path enumeration
     assert adjuster_length_menu(g, a) == frozenset({2, 4})
     assert validate_adjuster(g, a).passed
+
+
+def test_adjuster_menu_names_undecided_lengths(monkeypatch):
+    g = cycle_graph(6)
+    a = build_simple_adjuster(g, (), 1, 1)
+    monkeypatch.setattr(router, "_SEARCH_BUDGET", 0)
+    clause = validate_adjuster(g, a).clause("a4_menu")
+    assert not clause.passed
+    assert clause.witness == "undecided lengths (search budget exhausted): [2, 4]"
 
 
 def test_adjuster_girth_six_host():

@@ -13,7 +13,12 @@ from balsub.generators import (
     path_graph,
 )
 from balsub.graph import Graph
-from balsub.outcomes import BuildFailure, InvalidArgumentError, TooLargeError
+from balsub.outcomes import (
+    BuildFailure,
+    InvalidArgumentError,
+    SearchBudgetExceeded,
+    TooLargeError,
+)
 from balsub.router import (
     LengthWindow,
     connect_pair_with_length,
@@ -87,6 +92,33 @@ def test_exact_path_in_region_returns_host_ids():
     assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 3) is None
     with pytest.raises(InvalidArgumentError):
         exact_path_in_region(g, [1], 0, [], 2)
+
+
+def test_exact_path_into_targets_of_both_colours():
+    # C6 is bipartite and the targets 1, 2 lie on opposite sides: the parity
+    # of a path depends on which target it ends at
+    g = cycle_graph(6)
+    assert exact_path_in_region(g, [3, 4, 5], 0, [1, 2], 4) == [0, 5, 4, 3, 2]
+    f = Expansion(0, frozenset({0}), 0)
+    w = connect_with_length(g, 0, f, [1, 2], window=LengthWindow(4, 4))
+    assert not isinstance(w, BuildFailure)
+    assert w.vertices == (0, 5, 4, 3, 2)
+
+
+def test_exact_search_budget_is_not_a_refutation():
+    g = path_graph(6)
+    with pytest.raises(SearchBudgetExceeded):
+        exact_path_in_region(g, range(1, 5), 0, [5], 5, budget=1)
+    assert exact_path_in_region(g, range(1, 5), 0, [5], 5) == list(range(6))
+
+
+def test_long_paths_do_not_recurse():
+    g = path_graph(1200)
+    assert exact_path_in_region(g, range(1, 1199), 0, [1199], 1199) == list(range(1200))
+    # paper-mode lengths run to 10^11 and beyond; the work stays bounded by the graph
+    assert exact_path_in_region(g, range(1, 1199), 0, [1199], 10**12 + 1) is None
+    h = path_graph(1100)
+    assert simple_path_lengths(h, range(1, 1099), 0, 1099, cap=2000) == frozenset({1099})
 
 
 def test_menu_of_c6_arcs():
