@@ -204,7 +204,9 @@ def brute_force_subdivision(
 
     try:
         for comp in comps:
-            for branch in combinations(comp, k):
+            # each branch vertex starts k-1 paths through distinct neighbours
+            hubs = [v for v in comp if g.degree(v) >= k - 1]
+            for branch in combinations(hubs, k):
                 all_pairs = list(combinations(branch, 2))
                 found = fill(branch, 0, everything.difference(branch), {})
                 if found is not None:

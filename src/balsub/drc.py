@@ -150,17 +150,79 @@ def _middle_matching(
     return {pair: m for m, pair in owner.items()}
 
 
+def _branch_pool(g: Graph, comp: frozenset[int], k: int) -> tuple[frozenset[int], str]:
+    """Vertices of `comp` that can be branch vertices of a TK_k^(2), and
+    the bound that refutes the component when there are none.
+
+    A branch vertex starts k-1 paths through distinct neighbours, so its
+    degree is at least k-1.  A path of length 2 joins vertices of one
+    colour, so in a bipartite component the branch vertices share a side
+    and the C(k,2) middles lie on the other: a side can hold the branch
+    only with k vertices of degree >= k-1 and C(k,2) vertices opposite.
+    """
+    strong = frozenset(v for v in comp if g.degree(v) >= k - 1)
+    dist = g.bfs_distances([min(comp)])
+    if any(dist[u] % 2 == dist[w] % 2 for u in comp for w in g.neighbors(u)):
+        label, sides = "component", [(strong, None)]
+    else:
+        even = frozenset(v for v in comp if dist[v] % 2 == 0)
+        label, sides = "bipartite component", [
+            (strong & even, comp - even),
+            (strong - even, even),
+        ]
+    pool: set[int] = set()
+    reasons: list[str] = []
+    for hubs, opposite in sides:
+        if len(hubs) < k:
+            reasons.append(
+                f"{len(hubs)} vertices of degree >= {k - 1}, {k} branch vertices needed"
+            )
+        elif opposite is not None and len(opposite) < comb(k, 2):
+            reasons.append(
+                f"{len(opposite)} vertices opposite the branch side, "
+                f"C({k},2)={comb(k, 2)} middles needed"
+            )
+        else:
+            pool |= hubs
+    return frozenset(pool), f"{label}: " + "; ".join(dict.fromkeys(reasons))
+
+
+def _c4_free(g: Graph, comp: frozenset[int], masks: list[int]) -> bool:
+    """Whether every pair of vertices of `comp` has at most one common
+    neighbour."""
+    for v in comp:
+        seen = 0
+        for w in g.neighbors(v):
+            others = masks[w] & ~(1 << v)
+            if seen & others:
+                return False
+            seen |= others
+    return True
+
+
 def dense_tk2(
     g: Graph, k: int, seed: int = 0, node_budget: int = 200_000
 ) -> SubdivisionCertificate | BuildFailure:
     """Embed a TK_k^(2): k branch vertices plus one distinct middle vertex
     per pair.
 
-    Backtracking over branch sets in (degree desc, id asc) order with
-    common-neighbor and union-capacity pruning; middles are assigned by
-    bipartite matching rather than greedily.  On bipartite hosts a
-    dependent-random-choice pass reorders candidates toward a side whose
-    subsets are rich in common neighbors.
+    Backtracking over branch sets in (degree desc, id asc) order; middles
+    are assigned by bipartite matching rather than greedily.  On bipartite
+    hosts a dependent-random-choice pass reorders candidates toward a side
+    whose subsets are rich in common neighbors.  Three prunes cut only
+    subtrees that hold no TK_k^(2), so the first embedding in that order is
+    the one returned and, within the node budget, the answer is exact:
+    a certificate, or a refutation that says no TK_k^(2) exists.
+
+    - Side bound: branch vertices have degree >= k-1, and in a bipartite
+      component they share a side with k such vertices and C(k,2)
+      vertices opposite; a component without one is refuted unsearched.
+    - Candidate mask: a node keeps the later candidates that share a
+      neighbour with every branch vertex so far, and a candidate whose
+      mask cannot complete k branch vertices is skipped.
+    - Forced middles: when every pair of vertices in the component has at
+      most one common neighbour, each pair's middle is forced, and a
+      vertex adjacent to a used middle is dropped from the mask.
     """
     if k < 2:
         raise InvalidArgumentError("need k >= 2")
@@ -179,10 +241,22 @@ def dense_tk2(
             m |= 1 << w
         masks[v] = m
 
-    def search(order: list[int]) -> SubdivisionCertificate | None:
+    def search(order: list[int], c4_free: bool) -> SubdivisionCertificate | None:
         nonlocal nodes
+        # near[w]: order positions of w's neighbours; share[i]: positions of
+        # the vertices sharing a neighbour with order[i]
+        near = [0] * g.n
+        for i, v in enumerate(order):
+            for w in g.neighbors(v):
+                near[w] |= 1 << i
+        share = []
+        for i, v in enumerate(order):
+            m = 0
+            for w in g.neighbors(v):
+                m |= near[w]
+            share.append(m & ~(1 << i))
 
-        def extend(branch: list[int], bmask: int, union: int, start: int):
+        def extend(branch: list[int], bmask: int, union: int, cand: int):
             nonlocal nodes
             nodes += 1
             if nodes > node_budget:
@@ -196,33 +270,51 @@ def dense_tk2(
                     for pair, m in middles.items()
                 }
                 return SubdivisionCertificate.from_paths(2, branch, paths)
-            for idx in range(start, len(order)):
+            # candidates in position order, while enough remain to reach k
+            while len(branch) + cand.bit_count() >= k:
+                low = cand & -cand
+                cand ^= low
+                idx = low.bit_length() - 1
                 v = order[idx]
-                excl = ~(bmask | (1 << v))
-                if any(masks[u] & masks[v] & excl == 0 for u in branch):
+                # every pair needs a common neighbour off the branch
+                commons = [masks[u] & masks[v] & ~bmask for u in branch]
+                if not all(commons):
+                    continue
+                # later candidates must share a neighbour with v too
+                grown = cand & share[idx]
+                grown_union = union
+                for common in commons:
+                    grown_union |= common
+                    if c4_free:
+                        # the pair's one common neighbour is its middle,
+                        # so no later branch vertex may be adjacent to it
+                        grown &= ~near[common.bit_length() - 1]
+                if len(branch) + 1 + grown.bit_count() < k:
                     continue
                 branch.append(v)
                 grown_mask = bmask | (1 << v)
-                grown_union = union
-                for u in branch[:-1]:
-                    grown_union |= masks[u] & masks[v]
                 # the pairs need C(j, 2) distinct middles between them
                 if (grown_union & ~grown_mask).bit_count() >= comb(len(branch), 2):
-                    found = extend(branch, grown_mask, grown_union, idx + 1)
+                    found = extend(branch, grown_mask, grown_union, grown)
                     if found is not None:
                         return found
                 branch.pop()
             return None
 
-        return extend([], 0, 0, 0)
+        return extend([], 0, 0, (1 << len(order)) - 1)
 
     coloring = g.two_coloring()
+    refutations: list[str] = []
     try:
         for comp in comps:
+            pool, refutation = _branch_pool(g, comp, k)
+            if not pool:
+                refutations.append(refutation)
+                continue
             order = sorted(comp, key=lambda v: (-g.degree(v), v))
             if coloring is not None:
                 order = _drc_reorder(g, comp, coloring, k, seed, order)
-            cert = search(order)
+            cert = search([v for v in order if v in pool], _c4_free(g, comp, masks))
             if cert is not None:
                 require_verified(g, cert)
                 return cert
@@ -230,6 +322,8 @@ def dense_tk2(
         return BuildFailure(
             "no_embedding", f"search budget of {node_budget} nodes exhausted"
         )
+    if len(refutations) == len(comps):
+        return BuildFailure("no_embedding", "; ".join(dict.fromkeys(refutations)))
     return BuildFailure("no_embedding", f"no TK_{k} with all edges subdivided once")
 
 

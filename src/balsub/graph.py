@@ -209,14 +209,14 @@ def min_degree_peel(g: Graph, t: int) -> tuple[Graph, tuple[int, ...]]:
     if t < 0:
         raise InvalidArgumentError("degree threshold must be nonnegative")
     alive = [True] * g.n
-    deg = [g.degree(v) for v in g.vertices()]
+    deg = [len(nbrs) for nbrs in g._adj]
     queue = deque(v for v in g.vertices() if deg[v] < t)
     while queue:
         v = queue.popleft()
         if not alive[v]:
             continue
         alive[v] = False
-        for w in g.neighbors(v):
+        for w in g._adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] < t:
@@ -237,8 +237,8 @@ def bipartite_half(g: Graph) -> tuple[Graph, tuple[frozenset[int], frozenset[int
     while changed:
         changed = False
         for v in g.vertices():
-            same = sum(1 for w in g.neighbors(v) if side[w] == side[v])
-            cross = g.degree(v) - same
+            same = sum(1 for w in g._adj[v] if side[w] == side[v])
+            cross = len(g._adj[v]) - same
             if same > cross:
                 side[v] = 1 - side[v]
                 changed = True

@@ -57,8 +57,13 @@ def exact_paths(
     across searches; once it passes `budget` the search raises
     SearchBudgetExceeded.
     """
+    g.check_vertex(start)
+    g.check_subset(targets)
     if length < 1 or start in targets:
         return
+    # every id read below comes from the graph itself: skip the checks
+    # Graph.neighbors makes for outside callers
+    adj = g._adj
     # BFS from the targets through `allowed` (start is reached, not crossed)
     # to depth `length`.  If every edge it examines joins depths of opposite
     # parity, any path from w to a target has the parity of depth[w]; edges
@@ -71,7 +76,7 @@ def exact_paths(
         d += 1
         reached = []
         for u in frontier:
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 if w not in allowed and w != start:
                     continue
                 if w not in depth:
@@ -91,7 +96,7 @@ def exact_paths(
     failed: set[tuple[int, int]] = set()
     path = [start]
     visited = 1 << start
-    frames = [iter(g.neighbors(start))]
+    frames = [iter(adj[start])]
     # yields so far when each frame was entered: a frame that leaves the
     # count unchanged yielded nothing, so its state goes in the memo
     marks = [0]
@@ -115,7 +120,7 @@ def exact_paths(
             spent[0] += 1
             path.append(w)
             visited |= 1 << w
-            frames.append(iter(g.neighbors(w)))
+            frames.append(iter(adj[w]))
             marks.append(yields)
             break
         else:

@@ -217,6 +217,16 @@ def test_brute_force_budget():
         brute_force_subdivision(complete_graph(4), 2, 0)
 
 
+def test_brute_force_skips_low_degree_branch_sets():
+    # K4 with 20 pendant leaves: only the four K4 vertices have degree >= 4,
+    # so no 5-set can be a branch set and the search ends at once
+    edges = [(u, v) for u, v in combinations(range(4), 2)]
+    edges += [(4 + i, i % 4) for i in range(20)]
+    g = Graph(24, edges)
+    assert brute_force_subdivision(g, 5, 1, budget=1000) == NotFound()
+    assert brute_force_subdivision(g, 5, 1, budget=0) == NotFound()
+
+
 def test_brute_force_long_paths_do_not_recurse():
     g = path_graph(1100)
     cert = brute_force_subdivision(g, 2, 1099)

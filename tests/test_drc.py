@@ -6,12 +6,13 @@ independently with exact rationals before being frozen here.
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balsub.certify import verify_subdivision
+from balsub.certify import SubdivisionCertificate, best_k_at_ell, verify_subdivision
 from balsub.drc import (
     DrcParams,
     RobustDegreeVerdict,
@@ -25,8 +26,11 @@ from balsub.generators import (
     bipartite_gnp,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     gnp,
+    hypercube,
     incidence_plane,
+    kdd,
     path_graph,
 )
 from balsub.graph import Graph
@@ -172,6 +176,28 @@ def test_dense_embedding_failures():
     capped = dense_tk2(complete_graph(10), 3, node_budget=0)
     assert isinstance(capped, BuildFailure)
     assert "budget" in capped.detail
+    # the bipartite side bound refutes these before the first search node:
+    # C(k,2) middles cannot fit on a side of 20 or 14 vertices
+    for host, k, opposite in (
+        (kdd(20, 3), 8, 20),
+        (complete_bipartite(14, 14), 7, 14),
+    ):
+        refuted = dense_tk2(host, k, node_budget=0)
+        assert isinstance(refuted, BuildFailure)
+        assert refuted.reason == "no_embedding"
+        assert "budget" not in refuted.detail
+        assert refuted.detail == (
+            f"bipartite component: {opposite} vertices opposite the branch "
+            f"side, C({k},2)={comb(k, 2)} middles needed"
+        )
+    # K3,30 at k=4: the small side is too small for the branch, and the
+    # large side has too few vertices opposite it for the middles
+    lopsided = dense_tk2(complete_bipartite(3, 30), 4, node_budget=0)
+    assert isinstance(lopsided, BuildFailure)
+    assert lopsided.detail == (
+        "bipartite component: 3 vertices of degree >= 3, 4 branch vertices "
+        "needed; 3 vertices opposite the branch side, C(4,2)=6 middles needed"
+    )
     with pytest.raises(InvalidArgumentError):
         dense_tk2(complete_graph(5), 1)
 
@@ -185,6 +211,80 @@ def test_dense_embedding_middles_distinct():
         middles = [path.vertices[1] for _, path in cert.pairs()]
         assert len(set(middles)) == len(middles)
         assert not set(middles) & set(cert.branch)
+        assert verify_subdivision(g, cert).passed
+
+
+def _disjoint_union(*graphs):
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(base + u, base + v) for u, v in h.edges()]
+        base += h.n
+    return Graph(base, edges)
+
+
+def test_dense_embedding_matches_oracle():
+    # dense_tk2 is exact: it finds a TK_k^(2) iff the brute-force oracle
+    # says one exists, and otherwise refutes rather than runs out of budget
+    hosts = [
+        gnp(n, p, seed)
+        for n in (9, 11, 12, 13, 14)
+        for p in (0.35, 0.55, 0.8)
+        for seed in range(2)
+    ]
+    hosts += [
+        bipartite_gnp(a, 14 - a, p, seed)[0]
+        for a in (4, 5, 7)
+        for p in (0.5, 0.8)
+        for seed in range(2)
+    ]
+    hosts += [_disjoint_union(gnp(7, 0.7, s), gnp(7, 0.6, s + 50)) for s in range(4)]
+    # a bipartite component beside an odd cycle: no global 2-colouring
+    hosts += [
+        _disjoint_union(bipartite_gnp(3, 7, 0.9, s)[0], cycle_graph(3))
+        for s in range(3)
+    ]
+    hosts += [
+        _disjoint_union(complete_bipartite(4, 6), cycle_graph(3)),
+        _disjoint_union(complete_bipartite(3, 6), cycle_graph(5)),
+        _disjoint_union(complete_bipartite(3, 3), complete_bipartite(3, 4)),
+        incidence_plane(2),  # C4-free: every middle is forced
+        hypercube(3),
+        complete_bipartite(4, 4),
+        complete_graph(9),
+        cycle_graph(12),
+        path_graph(10),
+    ]
+    seen = set()
+    for g in hosts:
+        best = best_k_at_ell(g, 2)
+        seen.add(best)
+        for k in range(2, 6):
+            out = dense_tk2(g, k, node_budget=10**6)
+            if best >= k:
+                assert isinstance(out, SubdivisionCertificate), (g, k)
+                assert verify_subdivision(g, out).passed
+            else:
+                assert isinstance(out, BuildFailure), (g, k)
+                assert "budget" not in out.detail
+    assert seen >= {2, 3, 4}
+
+
+def test_dense_sweep_hosts_settle_within_budget():
+    # every k the default sweep tries on the bipartite benchmark hosts is
+    # decided, found or refuted, within 30 000 search nodes
+    cases = (
+        (hypercube(8), (9, 8)),
+        (kdd(20, 3), (8, 7, 6)),
+        (incidence_plane(5), (7, 6)),
+        (complete_bipartite(14, 14), (7, 6, 5)),
+    )
+    for g, ks in cases:
+        for k in ks[:-1]:
+            out = dense_tk2(g, k, seed=1, node_budget=30_000)
+            assert isinstance(out, BuildFailure), (g, k)
+            assert "budget" not in out.detail, (g, k)
+        cert = dense_tk2(g, ks[-1], seed=1, node_budget=30_000)
+        assert isinstance(cert, SubdivisionCertificate), g
         assert verify_subdivision(g, cert).passed
 
 

@@ -16,6 +16,7 @@ from balsub.graph import Graph
 from balsub.outcomes import (
     BuildFailure,
     InvalidArgumentError,
+    InvalidVertexError,
     SearchBudgetExceeded,
     TooLargeError,
 )
@@ -24,6 +25,7 @@ from balsub.router import (
     connect_pair_with_length,
     connect_with_length,
     exact_path_in_region,
+    exact_paths,
     realize_exact_length,
     simple_path_lengths,
 )
@@ -110,6 +112,17 @@ def test_exact_search_budget_is_not_a_refutation():
     with pytest.raises(SearchBudgetExceeded):
         exact_path_in_region(g, range(1, 5), 0, [5], 5, budget=1)
     assert exact_path_in_region(g, range(1, 5), 0, [5], 5) == list(range(6))
+
+
+def test_exact_paths_checks_its_endpoints_once():
+    g = path_graph(6)
+    inner = frozenset(range(1, 5))
+    assert list(exact_paths(g, 0, frozenset({5}), 5, inner, [0], 100)) == [tuple(range(6))]
+    # an out-of-range start is refused even where no search would begin
+    with pytest.raises(InvalidVertexError):
+        list(exact_paths(g, 6, frozenset({5}), 5, inner, [0], 100))
+    with pytest.raises(InvalidVertexError):
+        list(exact_paths(g, 0, frozenset({-1}), 5, inner, [0], 100))
 
 
 def test_long_paths_do_not_recurse():
