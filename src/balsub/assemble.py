@@ -76,7 +76,6 @@ class RunConfig:
     epsilon1: float = 1.0
     epsilon2: Optional[float] = None
     seed: int = 0
-    gadget_probes: bool = True
     overrides: Overrides = field(default_factory=Overrides)
 
     def __post_init__(self) -> None:
@@ -438,7 +437,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
         except InvalidArgumentError as exc:
             trace.add(f"profile transform inapplicable: {exc}")
 
-    if cfg.gadget_probes and expander is not None and expander.graph.n >= 2:
+    if expander is not None and expander.graph.n >= 2:
         _run_probes(expander.graph, cfg, trace)
 
     ov = cfg.overrides

@@ -50,6 +50,7 @@ from .outcomes import (
     TooLargeError,
     ValidationReport,
 )
+from .router import MENU_CAP
 
 
 def _round9(x: float) -> float:
@@ -422,7 +423,7 @@ def _gadget_build(
 def _resolved_menu(g: Graph, adj: Adjuster) -> tuple[int, ...]:
     """Realizable menu when the center is small enough to enumerate;
     otherwise the claimed arithmetic progression."""
-    if len(adj.center) + 2 <= 24:
+    if len(adj.center) + 2 <= MENU_CAP:
         realizable = adjuster_length_menu(g, adj)
         return tuple(sorted(set(adj.menu()) & realizable))
     return adj.menu()

@@ -187,9 +187,10 @@ def _branch_pool(g: Graph, comp: frozenset[int], k: int) -> tuple[frozenset[int]
     return frozenset(pool), f"{label}: " + "; ".join(dict.fromkeys(reasons))
 
 
-def _c4_free(g: Graph, comp: frozenset[int], masks: list[int]) -> bool:
+def _c4_free(g: Graph, comp: frozenset[int]) -> bool:
     """Whether every pair of vertices of `comp` has at most one common
     neighbour."""
+    masks = g.neighbor_masks()
     for v in comp:
         seen = 0
         for w in g.neighbors(v):
@@ -234,12 +235,7 @@ def dense_tk2(
         )
 
     nodes = 0
-    masks = [0] * g.n
-    for v in g.vertices():
-        m = 0
-        for w in g.neighbors(v):
-            m |= 1 << w
-        masks[v] = m
+    masks = g.neighbor_masks()
 
     def search(order: list[int], c4_free: bool) -> SubdivisionCertificate | None:
         nonlocal nodes
@@ -314,7 +310,7 @@ def dense_tk2(
             order = sorted(comp, key=lambda v: (-g.degree(v), v))
             if coloring is not None:
                 order = _drc_reorder(g, comp, coloring, k, seed, order)
-            cert = search([v for v in order if v in pool], _c4_free(g, comp, masks))
+            cert = search([v for v in order if v in pool], _c4_free(g, comp))
             if cert is not None:
                 require_verified(g, cert)
                 return cert
@@ -416,9 +412,8 @@ def robust_degree_or_tk2(
     rest = [v for v in g.vertices() if v not in w_set]
     threshold = Fraction(d) / 2
     if rest:
-        sub, _ = g.induced(rest)
-        degsum = sum(sub.degree(v) for v in sub.vertices())
-        average = Fraction(degsum, sub.n)
+        degsum = sum(1 for v in rest for u in g._adj[v] if u not in w_set)
+        average = Fraction(degsum, len(rest))
     else:
         average = Fraction(0)
     if average >= threshold:

@@ -91,12 +91,7 @@ def verify_expander(
         # no candidate sets exist, the property holds vacuously
         return ExpanderVerdict("certified", 0)
 
-    masks = [0] * g.n
-    for v in g.vertices():
-        m = 0
-        for w in g.neighbors(v):
-            m |= 1 << w
-        masks[v] = m
+    masks = g.neighbor_masks()
 
     def violates(xs: tuple[int, ...] | frozenset[int]) -> bool:
         xmask = 0
@@ -168,24 +163,32 @@ class ExtractionResult:
 
 
 def _half_average_core(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Repeatedly delete a vertex of degree < half the current average.
+    """Repeatedly delete the least vertex of degree < half the current
+    average.
 
     Each deletion strictly raises the average, so the fixed point H has
-    min degree >= d(H)/2 and d(H) at least the starting average.
+    min degree >= d(H)/2 and d(H) at least the starting average.  Deletions
+    only mark the host's vertices dead; H is built once at the end.
     """
-    ids = tuple(g.vertices())
-    while g.n > 0:
-        avg = average_degree(g)
-        victim = -1
-        for v in g.vertices():
-            if Fraction(2 * g.degree(v)) < avg:
-                victim = v
-                break
+    alive = [True] * g.n
+    deg = [len(nbrs) for nbrs in g._adj]
+    count, edges = g.n, g.edge_count()
+    while count:
+        # 2 deg(v) < 2 edges / count, kept in integers
+        victim = next(
+            (v for v in g.vertices() if alive[v] and deg[v] * count < edges), -1
+        )
         if victim < 0:
-            return g, ids
-        g, sub = g.delete([victim])
-        ids = tuple(ids[i] for i in sub)
-    return g, ids
+            break
+        alive[victim] = False
+        count -= 1
+        edges -= deg[victim]
+        for w in g._adj[victim]:
+            if alive[w]:
+                deg[w] -= 1
+    if count == g.n:
+        return g, tuple(g.vertices())
+    return g.induced(v for v in g.vertices() if alive[v])
 
 
 def extract_expander(

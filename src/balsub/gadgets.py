@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .connect import PathWitness, check_path, short_connect
-from .graph import Graph, bipartite_half, min_degree_peel
+from .graph import Graph, bipartite_half, core_numbers
 from .outcomes import (
     BuildFailure,
     Clause,
@@ -21,7 +21,7 @@ from .outcomes import (
     SearchBudgetExceeded,
     ValidationReport,
 )
-from .router import REALIZE_CAP, realize_exact_length, simple_path_lengths
+from .router import MENU_CAP, REALIZE_CAP, realize_exact_length, simple_path_lengths
 
 
 # -- hubs --------------------------------------------------------------------
@@ -93,24 +93,11 @@ def validate_hub(g: Graph, hub: Hub) -> ValidationReport:
     return ValidationReport(tuple(clauses))
 
 
-def _degeneracy(g: Graph) -> int:
-    alive = set(g.vertices())
-    deg = {v: g.degree(v) for v in alive}
-    best = 0
-    while alive:
-        v = min(alive, key=lambda x: (deg[x], x))
-        best = max(best, deg[v])
-        alive.remove(v)
-        for w in g.neighbors(v):
-            if w in alive:
-                deg[w] -= 1
-    return best
-
-
 def _greedy_hub_at(
-    g: Graph, center: int, h1: int, h2: int, c4_mode: bool
+    g: Graph, inside: set[int], center: int, h1: int, h2: int, c4_mode: bool
 ) -> Hub | None:
-    pool = list(g.neighbors(center))
+    adj = g._adj
+    pool = [z for z in adj[center] if z in inside]
     while len(pool) >= h1:
         chosen = pool[:h1]
         b1 = {center, *chosen}
@@ -120,8 +107,8 @@ def _greedy_hub_at(
         for z in chosen:
             avail = [
                 s
-                for s in g.neighbors(z)
-                if s not in b1 and (c4_mode or s not in used)
+                for s in adj[z]
+                if s in inside and s not in b1 and (c4_mode or s not in used)
             ]
             if len(avail) < h2:
                 bad = z
@@ -151,28 +138,20 @@ def build_hub(
     Tries min-degree cores from the largest feasible threshold downward;
     within a core, scans centers in id order and repairs the first layer
     whenever some branch cannot supply h2 private second-layer vertices.
+    Cores are vertex subsets of the host, which is never rebuilt.
     """
     if h1 < 1 or h2 < 1:
         raise InvalidArgumentError("need h1 >= 1 and h2 >= 1")
-    work, ids = g.delete(avoid)
-    if work.n == 0:
+    gone = g.check_subset(avoid)
+    core = core_numbers(g, (v for v in g.vertices() if v not in gone))
+    if not core:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
-    for t in range(_degeneracy(work), -1, -1):
-        core, core_ids = min_degree_peel(work, t)
-        if core.n == 0:
-            continue
-        for center in core.vertices():
-            found = _greedy_hub_at(core, center, h1, h2, c4_mode)
+    for t in sorted(set(core.values()), reverse=True):
+        inside = {v for v, c in core.items() if c >= t}
+        for center in sorted(inside):
+            found = _greedy_hub_at(g, inside, center, h1, h2, c4_mode)
             if found is not None:
-                lift = lambda v: ids[core_ids[v]]
-                return Hub(
-                    lift(found.center),
-                    tuple(lift(z) for z in found.first_layer),
-                    tuple(
-                        (lift(z), tuple(lift(s) for s in layer))
-                        for z, layer in found.second_layers
-                    ),
-                )
+                return found
     return BuildFailure(
         "insufficient_degree",
         f"no center can supply {h1} branches with {h2} private leaves each",
@@ -436,148 +415,120 @@ def build_unit(
     if min(h0, h1, h2, h3) < 1:
         raise InvalidArgumentError("unit parameters must all be >= 1")
     avoid_set = g.check_subset(avoid)
-    last_reason = "hub_pool_exhausted"
-    last_detail = "no candidate hubs fit"
-    last_partial = None
+    failure = BuildFailure("hub_pool_exhausted", "no candidate hubs fit")
     for margin in (2.0, 1.5, 1.0):
         mh0 = math.ceil(margin * h0)
         mh1 = math.ceil(margin * h1)
         mh2 = math.ceil(margin * h2)
-        taken: set[int] = set(avoid_set)
-        cores: list[Hub] = []
-        for _ in range(2):
-            cand = build_hub(g, taken, mh0, mh2)
-            if isinstance(cand, BuildFailure):
-                break
-            cores.append(cand)
-            taken |= cand.all_vertices()
+        taken = set(avoid_set)
+        cores = _place_hubs(g, taken, 2, mh0, mh2)
         if not cores:
             continue
-        satellites: list[Hub] = []
-        for _ in range(h0 + 1):
-            cand = build_hub(g, taken, mh1, mh2)
-            if isinstance(cand, BuildFailure):
-                break
-            satellites.append(cand)
-            taken |= cand.all_vertices()
+        satellites = _place_hubs(g, taken, h0 + 1, mh1, mh2)
         if len(satellites) < h0:
-            last_detail = (
+            failure = BuildFailure(
+                failure.reason,
                 f"margin {margin}: only {len(satellites)} satellite hubs of"
-                f" the {h0} required"
+                f" the {h0} required",
+                failure.partial,
             )
             continue
-
-        all_hub_vertices = frozenset(
-            v for hub in cores + satellites for v in hub.all_vertices()
-        )
-        all_b1 = frozenset(v for hub in cores + satellites for v in hub.b1())
         for core_hub in cores:
-            w = core_hub.center
-            used: set[int] = set()
-            spokes: list[PathWitness] = []
-            attached: list[Hub] = []
-            for sat in satellites:
-                if len(spokes) == h0:
-                    break
-                spoke = _spoke_search(
-                    g,
-                    w,
-                    sat.center,
-                    h3,
-                    avoid_set | used,
-                    all_hub_vertices,
-                    all_b1,
-                    (core_hub.b1(), sat.b1()),
-                )
-                if spoke is None:
-                    continue
-                spokes.append(spoke)
-                attached.append(sat)
-                used |= set(spoke.vertices) - {w}
-            if len(spokes) < h0:
-                last_reason = "connection_stalled"
-                last_detail = (
-                    f"core {w} reached {len(spokes)} of {h0} satellites"
-                )
-                last_partial = tuple(spokes)
-                continue
-
-            spoke_verts = {w} | used
-            carved: list[Hub] = []
-            for sat in attached:
-                hub = _carve_hub(sat, h1, h2, spoke_verts)
-                if hub is None:
-                    break
-                carved.append(hub)
-            if len(carved) < h0:
-                last_reason = "connection_stalled"
-                last_detail = "spokes consumed too much of a satellite hub"
-                last_partial = tuple(spokes)
-                continue
-            unit = Unit(w, tuple(carved), tuple(spokes), h3)
-            if validate_unit(g, unit).passed:
-                return unit
-            last_reason = "connection_stalled"
-            last_detail = "assembled unit failed self-validation"
-            last_partial = unit
+            result = _attach(
+                g, core_hub.center, core_hub.b1(), cores + satellites,
+                satellites, avoid_set, h0, h1, h2, h3,
+            )
+            if isinstance(result, Unit):
+                return result
+            failure = result
 
     # Lean pass for hosts too small to hold an oversized hub around the
     # core: the core is a bare vertex and satellites are rebuilt per core.
     candidates = [v for v in g.vertices() if v not in avoid_set][:40]
     for w in candidates:
-        taken = set(avoid_set) | {w}
-        satellites = []
-        for _ in range(h0 + 1):
-            cand = build_hub(g, taken, h1, h2)
-            if isinstance(cand, BuildFailure):
-                break
-            satellites.append(cand)
-            taken |= cand.all_vertices()
+        satellites = _place_hubs(g, set(avoid_set) | {w}, h0 + 1, h1, h2)
         if len(satellites) < h0:
             continue
-        all_hub_vertices = frozenset(
-            v for hub in satellites for v in hub.all_vertices()
+        result = _attach(
+            g, w, frozenset({w}), satellites, satellites, avoid_set, h0, h1, h2, h3
         )
-        all_b1 = frozenset(v for hub in satellites for v in hub.b1())
-        used = set()
-        spokes = []
-        attached = []
-        for sat in satellites:
-            if len(spokes) == h0:
-                break
-            spoke = _spoke_search(
-                g,
-                w,
-                sat.center,
-                h3,
-                avoid_set | used,
-                all_hub_vertices,
-                all_b1,
-                (frozenset({w}), sat.b1()),
-            )
-            if spoke is None:
-                continue
-            spokes.append(spoke)
-            attached.append(sat)
-            used |= set(spoke.vertices) - {w}
-        if len(spokes) < h0:
-            last_reason = "connection_stalled"
-            last_detail = f"bare core {w} reached {len(spokes)} of {h0} satellites"
-            last_partial = tuple(spokes)
+        if isinstance(result, Unit):
+            return result
+        failure = result
+    return failure
+
+
+def _place_hubs(
+    g: Graph, taken: set[int], count: int, h1: int, h2: int
+) -> list[Hub]:
+    """Up to `count` disjoint (h1, h2)-hubs built one after another outside
+    `taken`, which grows by every hub placed."""
+    hubs: list[Hub] = []
+    while len(hubs) < count:
+        cand = build_hub(g, taken, h1, h2)
+        if isinstance(cand, BuildFailure):
+            break
+        hubs.append(cand)
+        taken |= cand.all_vertices()
+    return hubs
+
+
+def _attach(
+    g: Graph,
+    core: int,
+    core_b1: frozenset[int],
+    placed_hubs: list[Hub],
+    satellites: list[Hub],
+    avoid: frozenset[int],
+    h0: int,
+    h1: int,
+    h2: int,
+    h3: int,
+) -> Unit | BuildFailure:
+    """Join the core to h0 satellites by short disjoint spokes (in
+    satellite order), carve clean (h1, h2)-hubs off the satellites clear of
+    the spokes, and return the unit once it passes its own validator.
+
+    `core_b1` is the core's own B1 set (just the core when it is a bare
+    vertex); spokes stay off every placed hub but their endpoints' B1s.
+    """
+    all_hub_vertices = frozenset(v for hub in placed_hubs for v in hub.all_vertices())
+    all_b1 = frozenset(v for hub in placed_hubs for v in hub.b1())
+    used: set[int] = set()
+    spokes: list[PathWitness] = []
+    attached: list[Hub] = []
+    for sat in satellites:
+        if len(spokes) == h0:
+            break
+        spoke = _spoke_search(
+            g, core, sat.center, h3, avoid | used, all_hub_vertices, all_b1,
+            (core_b1, sat.b1()),
+        )
+        if spoke is None:
             continue
-        spoke_verts = {w} | used
-        carved = []
-        for sat in attached:
-            hub = _carve_hub(sat, h1, h2, spoke_verts)
-            if hub is None:
-                break
-            carved.append(hub)
-        if len(carved) < h0:
-            continue
-        unit = Unit(w, tuple(carved), tuple(spokes), h3)
-        if validate_unit(g, unit).passed:
-            return unit
-    return BuildFailure(last_reason, last_detail, last_partial)
+        spokes.append(spoke)
+        attached.append(sat)
+        used |= set(spoke.vertices) - {core}
+    if len(spokes) < h0:
+        name = "core" if len(core_b1) > 1 else "bare core"
+        return BuildFailure(
+            "connection_stalled",
+            f"{name} {core} reached {len(spokes)} of {h0} satellites",
+            tuple(spokes),
+        )
+    carved = [_carve_hub(sat, h1, h2, used | {core}) for sat in attached]
+    if any(hub is None for hub in carved):
+        return BuildFailure(
+            "connection_stalled",
+            "spokes consumed too much of a satellite hub",
+            tuple(spokes),
+        )
+    unit = Unit(core, tuple(carved), tuple(spokes), h3)
+    if not validate_unit(g, unit).passed:
+        return BuildFailure(
+            "connection_stalled", "assembled unit failed self-validation", unit
+        )
+    return unit
 
 
 def _carve_hub(
@@ -689,7 +640,7 @@ def validate_adjuster(
 
 
 def adjuster_length_menu(
-    g: Graph, adj: Adjuster, cap: int = 24
+    g: Graph, adj: Adjuster, cap: int = MENU_CAP
 ) -> frozenset[int]:
     """Every realizable core-to-core path length inside G[A + cores]."""
     return simple_path_lengths(g, adj.center, adj.core1, adj.core2, cap=cap)
@@ -697,10 +648,17 @@ def adjuster_length_menu(
 
 def _shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle, or None in a forest.  Deterministic: the least
-    (length, root, closing edge) candidate wins."""
+    (length, root, closing edge) candidate wins.
+
+    Roots are scanned in ascending order, so once a root closes a cycle of
+    the girth floor (3, or 4 in a bipartite graph) no later root can win.
+    """
+    floor = 3 if g.two_coloring() is None else 4
     best: tuple[int, int, int, int] | None = None
     best_paths: tuple[list[int], list[int]] | None = None
     for root in g.vertices():
+        if best is not None and best[0] == floor:
+            break
         dist = {root: 0}
         parent: dict[int, int | None] = {root: None}
         queue = deque([root])
@@ -708,7 +666,7 @@ def _shortest_cycle(g: Graph) -> list[int] | None:
             u = queue.popleft()
             if best is not None and dist[u] >= best[0] // 2 + 1:
                 break
-            for w in g.neighbors(u):
+            for w in g._adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -722,7 +680,6 @@ def _shortest_cycle(g: Graph) -> list[int] | None:
                         if len(set(pu) | set(pw)) == len(pu) + len(pw) - 1:
                             best = key
                             best_paths = (pu, pw)
-        # roots are scanned exhaustively; the minimum over roots is exact
     if best is None or best_paths is None:
         return None
     pu, pw = best_paths

@@ -23,7 +23,7 @@ class Graph:
     deterministic.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -44,6 +44,7 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._edges: frozenset[tuple[int, int]] = frozenset(edge_set)
+        self._masks: tuple[int, ...] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -66,6 +67,18 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._edges))
+
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbourhood as a bitmask, built on first use."""
+        if self._masks is None:
+            masks = []
+            for nbrs in self._adj:
+                m = 0
+                for w in nbrs:
+                    m |= 1 << w
+                masks.append(m)
+            self._masks = tuple(masks)
+        return self._masks
 
     def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -200,6 +213,45 @@ def external_neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def core_numbers(g: Graph, alive: Iterable[int]) -> dict[int, int]:
+    """Core number of every vertex of G[alive]: the largest t such that the
+    vertex lies in the t-core, the maximal induced subgraph of G[alive]
+    with minimum degree >= t.
+
+    Peels a least-degree vertex at a time on the host's own adjacency, so
+    no subgraph is built; a vertex's core number is the largest degree
+    peeled up to and including it.
+    """
+    live = g.check_subset(alive)
+    adj = g._adj
+    # degree among the unpeeled vertices of `alive`; -1 once peeled or
+    # outside `alive`, so a live neighbour of a live vertex reads >= 1
+    deg = [-1] * g.n
+    for v in live:
+        deg[v] = len(live.intersection(adj[v]))
+    bins: list[list[int]] = [[] for _ in range(max(deg, default=-1) + 1)]
+    for v in live:
+        bins[deg[v]].append(v)
+    core: dict[int, int] = {}
+    floor = d = 0
+    while d < len(bins):
+        if not bins[d]:
+            d += 1
+            continue
+        v = bins[d].pop()
+        if deg[v] != d:
+            continue  # stale entry: v was peeled or its degree dropped
+        deg[v] = -1
+        floor = max(floor, d)
+        core[v] = floor
+        for w in adj[v]:
+            if deg[w] > 0:
+                deg[w] -= 1
+                bins[deg[w]].append(w)
+        d = max(d - 1, 0)
+    return core
+
+
 def min_degree_peel(g: Graph, t: int) -> tuple[Graph, tuple[int, ...]]:
     """Maximal induced subgraph with minimum degree >= t (the t-core).
 
@@ -208,20 +260,8 @@ def min_degree_peel(g: Graph, t: int) -> tuple[Graph, tuple[int, ...]]:
     """
     if t < 0:
         raise InvalidArgumentError("degree threshold must be nonnegative")
-    alive = [True] * g.n
-    deg = [len(nbrs) for nbrs in g._adj]
-    queue = deque(v for v in g.vertices() if deg[v] < t)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for w in g._adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] < t:
-                    queue.append(w)
-    return g.induced(v for v in g.vertices() if alive[v])
+    core = core_numbers(g, g.vertices())
+    return g.induced(v for v, c in core.items() if c >= t)
 
 
 def bipartite_half(g: Graph) -> tuple[Graph, tuple[frozenset[int], frozenset[int]]]:

@@ -297,6 +297,41 @@ def test_lift_certificate_relabels():
     assert verify_subdivision(host, lifted).passed
 
 
+def test_unit_route_golden_on_k80():
+    # recorded certificate and trace of one unit-route find: hub, peeling
+    # and unit code must leave both unchanged, byte for byte
+    out = top_level(complete_graph(80), RunConfig(seed=1, overrides=Overrides(ell=4)))
+    assert (out.kind, out.trace.route) == ("certificate", "units")
+    assert out.certificate.to_json_dict() == {
+        "branch": [0, 2, 4],
+        "ell": 4,
+        "paths": [
+            {"u": 0, "v": 2, "vertices": [0, 41, 22, 57, 2]},
+            {"u": 0, "v": 4, "vertices": [0, 25, 10, 5, 4]},
+            {"u": 2, "v": 4, "vertices": [2, 67, 38, 11, 4]},
+        ],
+    }
+    assert list(out.trace.entries) == [
+        "host: n=80 d=79.000000; d1=9.875000; profile k=0.987500000",
+        "bipartite expander: n=80 verdict=sampled_ok",
+        "probe hub: center 0 validated",
+        "probe adjuster: cycle of 4 vertices, menu [1, 3]",
+        "desk unit parameters: target_k=6 (h0,h1,h2,h3)=(5,1,1,2) ell=4",
+        "unit 0: core 0, 14 interior",
+        "unit 1: core 1, 13 interior",
+        "unit 2: core 2, 14 interior",
+        "unit 3: core 3, 12 interior",
+        "unit 4: core 4, 13 interior",
+        "unit 5: stalled (hub_pool_exhausted: margin 1.0: only 0 satellite"
+        " hubs of the 5 required)",
+        "pigeonhole: kept 3 of 5 units with cores on one side",
+        "pair (0,1): connected",
+        "pair (0,2): connected",
+        "pair (1,2): connected",
+        "connection clique size 3 of 3 units",
+    ]
+
+
 def test_probes_validated_on_expander():
     out = top_level(complete_graph(20), RunConfig())
     hub = out.trace.probes.get("hub")

@@ -39,10 +39,11 @@ from balsub.generators import (
     complete_graph,
     cycle_graph,
     gnp,
+    hypercube,
     incidence_plane,
     path_graph,
 )
-from balsub.graph import Graph
+from balsub.graph import Graph, bipartite_half
 from balsub.outcomes import InvalidArgumentError, InvalidVertexError
 
 
@@ -306,6 +307,16 @@ def test_unit_avoid_respected():
     assert isinstance(u, Unit)
     assert not (u.all_vertices() & avoid)
     assert validate_unit(g, u).passed
+
+
+def test_unit_failure_names_the_last_core_tried():
+    # the lean pass's last bare core gets its spokes but not clean hubs;
+    # the failure reports that core, not an earlier core's stall
+    out = build_unit(gnp(11, 0.4, 901454), [6, 9], 1, 2, 1, 3)
+    assert isinstance(out, BuildFailure)
+    assert out.reason == "connection_stalled"
+    assert out.detail == "spokes consumed too much of a satellite hub"
+    assert [s.vertices for s in out.partial] == [(10, 7, 4, 1)]
 
 
 def test_unit_bad_parameters():
@@ -613,10 +624,18 @@ def test_shortest_cycle_matches_edge_removal_oracle():
         return best
 
     rng = random.Random(20240817)
-    checked = 0
+    hosts = []
     for _ in range(40):
         n = rng.randrange(8, 15)
-        g = gnp(n, rng.choice([0.2, 0.3, 0.45]), rng.randrange(10**6))
+        hosts.append(gnp(n, rng.choice([0.2, 0.3, 0.45]), rng.randrange(10**6)))
+    # bipartite hosts, whose girth floor is 4
+    hosts += [complete_bipartite(2, 3), complete_bipartite(4, 6), hypercube(3), hypercube(4)]
+    for _ in range(20):
+        n = rng.randrange(8, 15)
+        g = gnp(n, rng.choice([0.3, 0.45, 0.6]), rng.randrange(10**6))
+        hosts.append(bipartite_half(g)[0])
+    checked = 0
+    for g in hosts:
         cycle = _shortest_cycle(g)
         want = oracle_girth(g)
         if want is None:
@@ -629,7 +648,14 @@ def test_shortest_cycle_matches_edge_removal_oracle():
         closed = cycle + [cycle[0]]
         assert all(g.has_edge(x, y) for x, y in zip(closed, closed[1:]))
         checked += 1
-    assert checked >= 20
+    assert checked >= 40
+
+
+def test_shortest_cycle_is_the_least_candidate_on_bipartite_hosts():
+    # several 4-cycles exist; the least (length, root, closing edge) wins
+    assert _shortest_cycle(hypercube(4)) == [0, 1, 3, 2]
+    assert _shortest_cycle(complete_bipartite(3, 5)) == [0, 3, 1, 4]
+    assert _shortest_cycle(bipartite_half(gnp(14, 0.3, 2))[0]) == [0, 3, 13, 12]
 
 
 # -- octopuses ----------------------------------------------------------------

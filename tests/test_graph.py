@@ -9,6 +9,7 @@ from balsub.graph import (
     Graph,
     average_degree,
     bipartite_half,
+    core_numbers,
     degree_stats,
     external_neighborhood,
     min_degree_peel,
@@ -146,6 +147,17 @@ def test_bipartite_half_property(n, seed):
         assert g.has_edge(u, v)
 
 
+def _brute_core(g, alive, t):
+    """The t-core of G[alive] by deleting low-degree vertices one at a
+    time until none is left."""
+    keep = set(alive)
+    while True:
+        low = [v for v in keep if sum(w in keep for w in g.neighbors(v)) < t]
+        if not low:
+            return keep
+        keep.remove(low[0])
+
+
 @given(st.integers(1, 12), st.integers(0, 10**6), st.integers(0, 4))
 def test_min_degree_peel_property(n, seed, t):
     g = gnp(n, 0.5, seed)
@@ -154,3 +166,21 @@ def test_min_degree_peel_property(n, seed, t):
     # the kept vertices induce exactly the core
     sub, _ = g.induced(ids)
     assert sub.edges() == core.edges()
+    # and the core is maximal: no other schedule keeps more
+    assert set(ids) == _brute_core(g, g.vertices(), t)
+
+
+@given(st.integers(1, 14), st.integers(0, 10**6), st.integers(0, 2**14 - 1))
+def test_core_numbers_match_brute_peel_on_subsets(n, seed, pick):
+    g = gnp(n, 0.5, seed)
+    alive = [v for v in g.vertices() if pick >> v & 1]
+    core = core_numbers(g, alive)
+    assert set(core) == set(alive)
+    for t in range(n + 1):
+        assert {v for v, c in core.items() if c >= t} == _brute_core(g, alive, t)
+
+
+def test_core_numbers_checks_the_subset():
+    with pytest.raises(InvalidVertexError):
+        core_numbers(path_graph(3), [0, 3])
+    assert core_numbers(path_graph(3), []) == {}
