@@ -3,14 +3,14 @@
 Two modes share one pipeline.  Paper mode computes the constants from
 their defining formulas; at desk scale those thresholds usually declare
 the input infeasible, and the run ends in a structured failure rather
-than a silently rescaled success.  Desk mode takes explicit (or
-auto-filled) overrides sized to hosts that fit in memory.
+than a silently rescaled success.  Desk mode takes the few explicit
+settings of `Overrides` and sizes the rest from the host.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -24,6 +24,7 @@ from .certify import (
 from .connect import PathWitness
 from .drc import dense_tk2
 from .expander import (
+    EXHAUSTIVE_CAP,
     BipartiteExpander,
     ExpansionProfile,
     extract_bipartite_expander,
@@ -49,23 +50,12 @@ from .router import exact_path_in_region
 
 @dataclass(frozen=True)
 class Overrides:
-    """Explicit desk-scale constants; None means unset."""
+    """Explicit desk-scale settings; None means unset."""
 
-    m: Optional[int] = None
-    big_d: Optional[int] = None
     ell: Optional[int] = None
-    c: Optional[float] = None
-    h0: Optional[int] = None
-    h1: Optional[int] = None
-    h2: Optional[int] = None
-    h3: Optional[int] = None
     target_k: Optional[int] = None
-    adjuster_size: Optional[int] = None
-    adjuster_m: Optional[int] = None
-    bad_threshold: Optional[int] = None
     sparse_threshold: Optional[float] = None
-    sparse_exponent: int = 2
-    exhaustive_cap: Optional[int] = None
+    exhaustive_cap: int = EXHAUSTIVE_CAP
     node_budget: int = 200_000
 
 
@@ -97,43 +87,25 @@ class ResolvedConstants:
     big_d: float
     ell: int
     c: float
-    source: str
 
 
 def derive_config(n: int, d, cfg: RunConfig) -> ResolvedConstants:
-    """Resolve (kappa, m, D, ell, c) from formulas (paper) or overrides (desk).
+    """Resolve (kappa, m, D, ell, c) from the paper's formulas; of `cfg`
+    only the kappa rule is read.
 
-    Paper: m is the smallest even integer strictly greater than
-    80*ln^4(n/kappa^2); D = kappa^2*m^4/10^7; ell = m^3; c = 1/200.
+    kappa is sqrt(d) or d by `cfg.kappa_rule`; m is the smallest even
+    integer strictly greater than 80*ln^4(n/kappa^2); D = kappa^2*m^4/10^7;
+    ell = m^3; c = 1/200.
     """
     if n < 1 or d <= 0:
         raise InvalidArgumentError("need n >= 1 and d > 0")
     dv = float(d)
     kappa = math.sqrt(dv) if cfg.kappa_rule == "sqrt" else dv
-    if cfg.mode == "paper":
-        ratio = n / (kappa * kappa)
-        raw = 80.0 * math.log(ratio) ** 4 if ratio > 1 else 0.0
-        m = 2 * math.floor(raw / 2) + 2
-        return ResolvedConstants(
-            kappa=kappa,
-            m=m,
-            big_d=kappa * kappa * m**4 / 1e7,
-            ell=m**3,
-            c=1 / 200,
-            source="paper",
-        )
-    ov = cfg.overrides
-    missing = [
-        name
-        for name, value in (("m", ov.m), ("D", ov.big_d), ("ell", ov.ell), ("c", ov.c))
-        if value is None
-    ]
-    if missing:
-        raise InvalidArgumentError(
-            f"desk mode requires explicit overrides for: {', '.join(missing)}"
-        )
+    ratio = n / (kappa * kappa)
+    raw = 80.0 * math.log(ratio) ** 4 if ratio > 1 else 0.0
+    m = 2 * math.floor(raw / 2) + 2
     return ResolvedConstants(
-        kappa=kappa, m=ov.m, big_d=float(ov.big_d), ell=ov.ell, c=ov.c, source="desk"
+        kappa=kappa, m=m, big_d=kappa * kappa * m**4 / 1e7, ell=m**3, c=1 / 200
     )
 
 
@@ -168,27 +140,13 @@ def classify_units(units, usage, threshold: int):
     return good, bad
 
 
-def auto_desk_overrides(g: Graph, ov: Overrides) -> Overrides:
-    """Fill unset unit-pipeline parameters from the host size.
-
-    target_k is the largest k whose k disjoint lean units (interior about
-    2k-1 vertices each) fit; hubs default to single-branch (1,1) shape with
-    spokes of length at most 2.
-    """
-    target = ov.target_k
-    if target is None:
-        target = 2
-        while (target + 1) * (2 * (target + 1) - 1) <= g.n:
-            target += 1
-    filled = replace(
-        ov,
-        target_k=target,
-        h0=ov.h0 if ov.h0 is not None else max(1, target - 1),
-        h1=ov.h1 if ov.h1 is not None else 1,
-        h2=ov.h2 if ov.h2 is not None else 1,
-        h3=ov.h3 if ov.h3 is not None else 2,
-    )
-    return filled
+def desk_target_k(n: int) -> int:
+    """The largest k (at least 2) whose k disjoint lean units, interior
+    about 2k-1 vertices each, fit in n vertices."""
+    target = 2
+    while (target + 1) * (2 * (target + 1) - 1) <= n:
+        target += 1
+    return target
 
 
 def _max_clique(order: list[int], adjacent) -> list[int]:
@@ -224,11 +182,12 @@ def find_balanced_subdivision(
             f"D={consts.big_d:.6f} ell={consts.ell}"
         )
     else:
-        ov = auto_desk_overrides(g, cfg.overrides)
-        target_k = ov.target_k
-        h0, h1, h2, h3 = ov.h0, ov.h1, ov.h2, ov.h3
+        ov = cfg.overrides
+        target_k = ov.target_k if ov.target_k is not None else desk_target_k(g.n)
+        # single-branch hubs of shape (1, 1) with spokes of length at most 2
+        h0, h1, h2, h3 = max(1, target_k - 1), 1, 1, 2
         ell = ov.ell
-        bad_threshold = ov.bad_threshold if ov.bad_threshold is not None else 0
+        bad_threshold = 0
         trace.add(
             f"desk unit parameters: target_k={target_k} "
             f"(h0,h1,h2,h3)=({h0},{h1},{h2},{h3}) ell={ell}"
@@ -411,14 +370,10 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
     )
 
     expander: Optional[BipartiteExpander] = None
-    cap = cfg.overrides.exhaustive_cap
     try:
-        if cap is not None:
-            expander = extract_bipartite_expander(
-                g, d1, profile, cap=cap, seed=cfg.seed
-            )
-        else:
-            expander = extract_bipartite_expander(g, d1, profile, seed=cfg.seed)
+        expander = extract_bipartite_expander(
+            g, d1, profile, cap=cfg.overrides.exhaustive_cap, seed=cfg.seed
+        )
         trace.add(
             f"bipartite expander: n={expander.graph.n} "
             f"verdict={expander.verdict.status}"
@@ -443,7 +398,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
     ov = cfg.overrides
     threshold = None
     if cfg.mode == "paper":
-        threshold = math.log(max(g.n, 2)) ** ov.sparse_exponent
+        threshold = math.log(max(g.n, 2)) ** 2
     elif ov.sparse_threshold is not None:
         threshold = ov.sparse_threshold
     if threshold is not None and float(d1) < threshold:
@@ -542,12 +497,8 @@ def _run_probes(h: Graph, cfg: RunConfig, trace: PipelineTrace) -> None:
     else:
         trace.add("probe hub: not buildable")
 
-    ov = cfg.overrides
-    size = ov.adjuster_size if ov.adjuster_size is not None else (
-        4 if h.n >= 20 else 1
-    )
-    m = ov.adjuster_m if ov.adjuster_m is not None else 2
-    adj = build_simple_adjuster(h, (), size, m, c4_mode=c4)
+    size = 4 if h.n >= 20 else 1
+    adj = build_simple_adjuster(h, (), size, 2, c4_mode=c4)
     if not isinstance(adj, BuildFailure):
         if validate_adjuster(h, adj).passed:
             trace.probes["adjuster"] = adj

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Sequence
 from .assemble import Overrides, PipelineOutcome, RunConfig, top_level
 from .certify import SubdivisionCertificate, verify_subdivision
 from .drc import DrcParams, drc_select
-from .expander import ExpansionProfile, verify_expander
+from .expander import EXHAUSTIVE_CAP, ExpansionProfile, verify_expander
 from .gadgets import (
     Adjuster,
     Expansion,
@@ -244,10 +244,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = Overrides(
-        m=args.override_m,
-        big_d=args.override_D,
         ell=args.override_ell,
-        c=args.override_c,
         target_k=args.target_k,
         sparse_threshold=args.sparse_threshold,
         exhaustive_cap=args.exhaustive_cap,
@@ -529,13 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--epsilon2", type=float, default=None)
     p_find.add_argument("--kappa", choices=("sqrt", "linear"), default="sqrt")
     p_find.add_argument("--seed", type=int, default=0)
-    p_find.add_argument("--override-m", type=int, default=None)
     p_find.add_argument("--override-ell", type=int, default=None)
-    p_find.add_argument("--override-D", type=int, default=None)
-    p_find.add_argument("--override-c", type=float, default=None)
     p_find.add_argument("--target-k", type=int, default=None)
     p_find.add_argument("--sparse-threshold", type=float, default=None)
-    p_find.add_argument("--exhaustive-cap", type=int, default=None)
+    p_find.add_argument("--exhaustive-cap", type=int, default=EXHAUSTIVE_CAP)
     p_find.add_argument("--node-budget", type=int, default=200_000)
     p_find.add_argument("--trace", action="store_true")
     p_find.set_defaults(func=cmd_find)
@@ -552,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_exp.add_argument("--trials", type=int, default=200)
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--exhaustive-cap", type=int, default=22)
+    p_exp.add_argument("--exhaustive-cap", type=int, default=EXHAUSTIVE_CAP)
     p_exp.set_defaults(func=cmd_expander)
 
     p_gad = sub.add_parser("gadget", help="build or check a structural gadget")

@@ -195,7 +195,6 @@ def extract_expander(
     g: Graph,
     profile: ExpansionProfile,
     cap: int = EXHAUSTIVE_CAP,
-    trials: int = 200,
     seed: int = 0,
 ) -> ExtractionResult:
     """Find an expanding subgraph H with d(H) >= d(G)/2 and min degree
@@ -212,7 +211,7 @@ def extract_expander(
     h, ids = _half_average_core(g)
     while True:
         mode = "exhaustive" if h.n <= cap else "sampled"
-        verdict = verify_expander(h, profile, mode=mode, trials=trials, seed=seed, cap=cap)
+        verdict = verify_expander(h, profile, mode=mode, seed=seed, cap=cap)
         if verdict.status != "refuted":
             return ExtractionResult(h, ids, verdict)
         witness = verdict.witness or frozenset()
@@ -245,7 +244,6 @@ def extract_bipartite_expander(
     d: Fraction | float,
     profile: ExpansionProfile,
     cap: int = EXHAUSTIVE_CAP,
-    trials: int = 200,
     seed: int = 0,
 ) -> BipartiteExpander:
     """Bipartite expander H inside G with min degree >= d.
@@ -262,7 +260,7 @@ def extract_bipartite_expander(
             f"need average degree >= {8 * d}, have {average_degree(g)}"
         )
     half, _sides = bipartite_half(g)
-    res = extract_expander(half, profile, cap=cap, trials=trials, seed=seed)
+    res = extract_expander(half, profile, cap=cap, seed=seed)
     t = math.ceil(d)
     core, core_ids = min_degree_peel(res.graph, t)
     if core.n == 0:

@@ -3,15 +3,16 @@
 `exact_paths` is the one exact-length path search: iterative, depth first
 in ascending id order, pruned by a distance bound, a parity cut and a memo
 of dead states, under a node budget callers can share.  It serves the
-single-path searches and the length menu here and the brute-force oracle
-in `certify`.  Also provides the two windowed connectors: single endpoint
-into a target set, and a pair of target sets joined through two expansions.
+single-path searches, the length menu and the two windowed connectors here,
+and the brute-force oracle in `certify`.  The connectors join a single
+endpoint to a target set by the first in-window length the search finds,
+and a pair of target sets by a shortest leg through one expansion plus a
+windowed leg from the other.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -213,12 +214,9 @@ def _path_inside(g: Graph, region: frozenset[int], a: int, b: int) -> list[int] 
     """Shortest a,b-path staying inside `region` (both endpoints included)."""
     if a == b:
         return [a]
-    sub, ids = g.induced(region | {a, b})
-    index = {v: i for i, v in enumerate(ids)}
-    hit = short_connect(sub, [index[a]], [index[b]])
-    if hit is None:
-        return None
-    return [ids[v] for v in hit.vertices]
+    outside = frozenset(g.vertices()) - region - {a, b}
+    hit = short_connect(g, [a], [b], outside)
+    return None if hit is None else list(hit.vertices)
 
 
 def connect_with_length(
@@ -228,17 +226,14 @@ def connect_with_length(
     u: Iterable[int],
     avoid: Iterable[int] = (),
     window: LengthWindow = LengthWindow(1, 1),
-    unit_params: tuple[int, int, int, int] | None = None,
-    log: list[str] | None = None,
 ) -> PathWitness | BuildFailure:
     """Path from v into the set U whose length lands in `window`.
 
-    First tries the expansion-hopping loop: repeatedly build a fresh unit
-    beyond the current frontier, route through it, and keep a spare
-    expansion around the new frontier core; each hop strictly lengthens
-    the path.  When that stalls (normal at small scale), falls back to a
-    direct exhaustive search for an in-window length; the fallback is
-    reported through `log`.
+    Tries each length of the window in ascending order with an exact-length
+    search whose interior avoids both `avoid` and U, and returns the first
+    path found.  Fails with "search_budget_exhausted" when no length
+    succeeded and some length ran out of budget undecided, and with
+    "window_unreachable" when every length was refuted.
     """
     u_set = g.check_subset(u)
     avoid_set = g.check_subset(avoid)
@@ -251,74 +246,6 @@ def connect_with_length(
     if u_set & avoid_set or f_verts & avoid_set or f_verts & u_set:
         raise InvalidArgumentError("U, the expansion, and avoid must be disjoint")
 
-    def note(msg: str) -> None:
-        if log is not None:
-            log.append(msg)
-
-    path = [v]
-    frontier_ball = set(f_verts)
-
-    if unit_params is not None:
-        from .gadgets import Unit, build_unit  # deferred: gadgets imports this module
-
-        while len(path) - 1 < window.lo:
-            blocked = avoid_set | set(path) | frontier_ball | u_set
-            unit = build_unit(g, blocked, *unit_params)
-            if isinstance(unit, BuildFailure):
-                note(f"hop stalled: unit builder said {unit.reason}")
-                break
-            unit_verts = frozenset(unit.all_vertices())
-            hop_avoid = (avoid_set | set(path[:-1]) | u_set) - unit_verts - frontier_ball
-            bridge = short_connect(g, sorted(unit_verts), sorted(frontier_ball), hop_avoid)
-            if bridge is None:
-                note("hop stalled: no bridge from fresh unit to the frontier")
-                break
-            b_unit, b_front = bridge.vertices[0], bridge.vertices[-1]
-            seg_front = _path_inside(g, frontier_ball, path[-1], b_front)
-            seg_unit = _path_inside(g, unit_verts, b_unit, unit.core)
-            if seg_front is None or seg_unit is None:
-                note("hop stalled: frontier or unit not internally connected")
-                break
-            candidate = (
-                path
-                + seg_front[1:]
-                + list(reversed(bridge.vertices))[1:]
-                + seg_unit[1:]
-            )
-            if len(set(candidate)) != len(candidate):
-                note("hop stalled: candidate extension revisits a vertex")
-                break
-            assert len(candidate) > len(path), "each hop must lengthen the path"
-            path = candidate
-            inside = unit_verts - set(path[:-1])
-            ball = {path[-1]}
-            queue = deque([path[-1]])
-            while queue:
-                x = queue.popleft()
-                for w in g.neighbors(x):
-                    if w in inside and w not in ball:
-                        ball.add(w)
-                        queue.append(w)
-            frontier_ball = ball
-
-        if len(path) - 1 >= window.lo:
-            tail_avoid = (avoid_set | set(path[:-1])) - u_set - frontier_ball
-            budget = window.hi - (len(path) - 1)
-            reach = short_connect(g, sorted(u_set), sorted(frontier_ball - set(path[:-1])), tail_avoid, cap=budget)
-            if reach is not None:
-                r_u, r_front = reach.vertices[0], reach.vertices[-1]
-                seg_front = _path_inside(g, frontier_ball - set(path[:-1]) | {path[-1]}, path[-1], r_front)
-                if seg_front is not None:
-                    candidate = path + seg_front[1:] + list(reversed(reach.vertices))[1:]
-                    if (
-                        len(set(candidate)) == len(candidate)
-                        and len(candidate) - 1 in window
-                    ):
-                        note("window reached by expansion hopping")
-                        return PathWitness(tuple(candidate))
-            note("hop tail failed to land in the window")
-
-    note("direct in-window search")
     allowed = frozenset(g.vertices()) - avoid_set - u_set - {v}
     undecided = []
     for target in range(window.lo, window.hi + 1):
@@ -329,12 +256,16 @@ def connect_with_length(
             continue
         if found is not None:
             return PathWitness(found)
-    return BuildFailure(
-        "window_unreachable",
+    detail = (
         f"no path from {v} into the target set with length in "
         f"[{window.lo}, {window.hi}]"
-        + (f"; search budget exhausted at lengths {undecided}" if undecided else ""),
     )
+    if undecided:
+        return BuildFailure(
+            "search_budget_exhausted",
+            f"{detail}; search budget exhausted at lengths {undecided}",
+        )
+    return BuildFailure("window_unreachable", detail)
 
 
 def connect_pair_with_length(
@@ -345,8 +276,6 @@ def connect_pair_with_length(
     f4,
     avoid: Iterable[int] = (),
     window: LengthWindow = LengthWindow(2, 2),
-    unit_params: tuple[int, int, int, int] | None = None,
-    log: list[str] | None = None,
 ) -> tuple[PathWitness, PathWitness] | BuildFailure:
     """Two disjoint paths: a short one from one target set to the nearer
     expansion's core, then a windowed one joining the remaining pair, so
@@ -365,10 +294,6 @@ def connect_pair_with_length(
                 raise InvalidArgumentError("endpoint sets and expansions must be pairwise disjoint")
         if x & avoid_set:
             raise InvalidArgumentError("avoid set overlaps an endpoint set")
-
-    def note(msg: str) -> None:
-        if log is not None:
-            log.append(msg)
 
     first = short_connect(
         g, sorted(u1_set | u2_set), sorted(f3_verts | f4_verts), avoid_set
@@ -394,7 +319,6 @@ def connect_pair_with_length(
             "window_unreachable",
             f"short leg already uses {p_short.length} of the window",
         )
-    note(f"short leg length {p_short.length} into core {touched_anchor}")
 
     residual = LengthWindow(
         max(1, window.lo - p_short.length), window.hi - p_short.length
@@ -406,11 +330,9 @@ def connect_pair_with_length(
         sorted(other_u),
         avoid_set | set(p_short.vertices),
         residual,
-        unit_params=unit_params,
-        log=log,
     )
     if isinstance(second, BuildFailure):
-        return BuildFailure("window_unreachable", f"long leg failed: {second.detail}")
+        return BuildFailure(second.reason, f"long leg failed: {second.detail}")
     total = p_short.length + second.length
     if total not in window:
         return BuildFailure("window_unreachable", f"combined length {total} misses the window")

@@ -16,9 +16,10 @@ from balsub.assemble import (
     Overrides,
     PipelineOutcome,
     RunConfig,
-    auto_desk_overrides,
+    PipelineTrace,
     classify_units,
     derive_config,
+    desk_target_k,
     find_balanced_subdivision,
     top_level,
 )
@@ -59,7 +60,6 @@ def test_derive_config_paper_formulas():
     assert c.ell == 74356**3
     assert c.big_d == 4 * 74356.0**4 / 1e7
     assert c.c == 1 / 200
-    assert c.source == "paper"
     # ratio <= 1 collapses the log term: the smallest even m is 2
     c2 = derive_config(4, 4, RunConfig(mode="paper"))
     assert c2.m == 2 and c2.ell == 8
@@ -70,31 +70,38 @@ def test_derive_config_paper_formulas():
     assert c3.m == 23392
 
 
-def test_derive_config_desk_requires_overrides():
-    with pytest.raises(InvalidArgumentError) as err:
-        derive_config(100, 4, RunConfig())
-    msg = str(err.value)
-    for name in ("m", "D", "ell", "c"):
-        assert name in msg
-    ov = Overrides(m=6, big_d=2.5, ell=4, c=0.01)
-    c = derive_config(100, 4, RunConfig(overrides=ov))
-    assert (c.m, c.big_d, c.ell, c.c) == (6, 2.5, 4, 0.01)
-    assert c.source == "desk"
+def test_derive_config_rejects_empty_input():
     with pytest.raises(InvalidArgumentError):
-        derive_config(0, 4, RunConfig(overrides=ov))
+        derive_config(0, 4, RunConfig(mode="paper"))
     with pytest.raises(InvalidArgumentError):
-        derive_config(100, 0, RunConfig(overrides=ov))
+        derive_config(100, 0, RunConfig(mode="paper"))
 
 
-def test_auto_desk_overrides_sizing():
+def test_desk_target_k_sizing():
     # largest k with k*(2k-1) <= n: 5*9=45 <= 50 < 6*11
-    ov = auto_desk_overrides(complete_graph(50), Overrides())
-    assert (ov.target_k, ov.h0, ov.h1, ov.h2, ov.h3) == (5, 4, 1, 1, 2)
-    small = auto_desk_overrides(complete_graph(10), Overrides())
-    assert small.target_k == 2 and small.h0 == 1
-    # explicit settings survive the fill
-    kept = auto_desk_overrides(complete_graph(10), Overrides(h3=7, target_k=3))
-    assert kept.h3 == 7 and kept.target_k == 3 and kept.h0 == 2
+    assert desk_target_k(50) == 5
+    assert desk_target_k(45) == 5
+    assert desk_target_k(44) == 4
+    assert desk_target_k(10) == 2
+    assert desk_target_k(0) == 2
+
+
+def test_desk_unit_parameters_follow_target_k():
+    trace = PipelineTrace()
+    find_balanced_subdivision(complete_graph(50), RunConfig(), trace)
+    assert trace.entries[0] == "desk unit parameters: target_k=5 (h0,h1,h2,h3)=(4,1,1,2) ell=None"
+    trace = PipelineTrace()
+    find_balanced_subdivision(
+        complete_graph(10), RunConfig(overrides=Overrides(target_k=3)), trace
+    )
+    assert trace.entries[0] == "desk unit parameters: target_k=3 (h0,h1,h2,h3)=(2,1,1,2) ell=None"
+    # an explicit zero is a setting, not an unset value: no unit is built
+    trace = PipelineTrace()
+    out = find_balanced_subdivision(
+        complete_graph(10), RunConfig(overrides=Overrides(target_k=0)), trace
+    )
+    assert isinstance(out, BuildFailure) and out.reason == "no_units"
+    assert trace.entries[0].startswith("desk unit parameters: target_k=0 ")
 
 
 def test_component_k_cap():

@@ -139,6 +139,27 @@ def test_find_usage_errors(capsys, tmp_path):
     assert run(capsys, ["find", str(bad)])[0] == 2
 
 
+def test_find_exhaustive_cap(capsys, tmp_path):
+    path = tmp_path / "k20.txt"
+    path.write_text(to_edge_list(complete_graph(20)))
+    code, out, err = run(capsys, ["find", str(path), "--trace"])
+    assert code == 0
+    assert "verdict=certified" in err
+    capped = run(capsys, ["find", str(path), "--trace", "--exhaustive-cap", "12"])
+    assert capped[0] == 0
+    assert "verdict=sampled_ok" in capped[2]
+    assert capped[1] == out  # the cap changes the evidence, not the answer
+
+
+def test_find_rejects_removed_overrides(capsys, tmp_path):
+    path = tmp_path / "k8.txt"
+    path.write_text(to_edge_list(complete_graph(8)))
+    for flag in ("--override-m", "--override-D", "--override-c"):
+        code, out, err = run(capsys, ["find", str(path), flag, "5"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+
 def test_verify_round_trip(capsys, tmp_path):
     host = complete_graph(8)
     gpath = tmp_path / "g.txt"

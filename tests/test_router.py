@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from balsub.connect import check_path
+from balsub import router
+from balsub.connect import check_path, short_connect
 from balsub.gadgets import Expansion
 from balsub.generators import (
     complete_graph,
@@ -190,12 +191,58 @@ def test_connect_with_length_impossible_window():
     assert out.reason == "window_unreachable"
 
 
+def test_connect_with_length_names_budget_exhaustion(monkeypatch):
+    g = complete_graph(10)
+    f = Expansion(0, frozenset({0}), 0)
+    monkeypatch.setattr(router, "_SEARCH_BUDGET", 0)
+    out = connect_with_length(g, 0, f, [9], window=LengthWindow(3, 5))
+    assert isinstance(out, BuildFailure)
+    assert out.reason == "search_budget_exhausted"
+    assert out.detail.endswith("search budget exhausted at lengths [3, 4, 5]")
+    # the pair connector passes the long leg's tag on
+    u1 = frozenset(range(5))
+    u2 = frozenset(range(5, 10))
+    f3 = Expansion(10, frozenset(range(10, 15)), 1)
+    f4 = Expansion(15, frozenset(range(15, 20)), 1)
+    pair = connect_pair_with_length(
+        complete_graph(30), u1, u2, f3, f4, window=LengthWindow(6, 12)
+    )
+    assert isinstance(pair, BuildFailure)
+    assert pair.reason == "search_budget_exhausted"
+    assert pair.detail.startswith("long leg failed: ")
+
+
 def test_connect_with_length_respects_avoid():
     g = complete_graph(10)
     f = Expansion(0, frozenset({0}), 0)
     w = connect_with_length(g, 0, f, [9], avoid=[4, 5], window=LengthWindow(3, 5))
     assert not isinstance(w, BuildFailure)
     assert not set(w.vertices) & {4, 5}
+
+
+def induced_path_inside(g, region, a, b):
+    """Oracle: shortest a,b-path found on the induced subgraph of the
+    region, mapped back to host ids."""
+    if a == b:
+        return [a]
+    sub, ids = g.induced(region | {a, b})
+    index = {v: i for i, v in enumerate(ids)}
+    hit = short_connect(sub, [index[a]], [index[b]])
+    return None if hit is None else [ids[v] for v in hit.vertices]
+
+
+def test_path_inside_matches_induced_subgraph_oracle():
+    rng = random.Random(11)
+    found = 0
+    for trial in range(200):
+        n = rng.randint(2, 16)
+        g = gnp(n, rng.choice((0.2, 0.35, 0.5)), trial)
+        region = frozenset(v for v in range(n) if rng.random() < 0.6)
+        a, b = rng.randrange(n), rng.randrange(n)
+        got = router._path_inside(g, region, a, b)
+        assert got == induced_path_inside(g, region, a, b)
+        found += got is not None and len(got) > 2
+    assert found >= 40
 
 
 def test_connect_pair_on_k30():
