@@ -1,4 +1,4 @@
-"""Pipeline orchestration: units, connections, classification, assembly.
+"""Pipeline orchestration: units, connections, assembly.
 
 Two modes share one pipeline.  Paper mode computes the constants from
 their defining formulas; at desk scale those thresholds usually declare
@@ -22,7 +22,7 @@ from .certify import (
     require_verified,
 )
 from .connect import PathWitness
-from .drc import dense_tk2
+from .drc import NODE_BUDGET, dense_tk2
 from .expander import (
     EXHAUSTIVE_CAP,
     BipartiteExpander,
@@ -56,7 +56,7 @@ class Overrides:
     target_k: Optional[int] = None
     sparse_threshold: Optional[float] = None
     exhaustive_cap: int = EXHAUSTIVE_CAP
-    node_budget: int = 200_000
+    node_budget: int = NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,6 @@ class PipelineOutcome:
     failure: Optional[BuildFailure] = None
 
 
-def classify_units(units, usage, threshold: int):
-    """Partition units into (good, bad) by strict interior usage."""
-    used = frozenset(usage)
-    good, bad = [], []
-    for unit in units:
-        if len(unit.interior() & used) > threshold:
-            bad.append(unit)
-        else:
-            good.append(unit)
-    return good, bad
-
-
 def desk_target_k(n: int) -> int:
     """The largest k (at least 2) whose k disjoint lean units, interior
     about 2k-1 vertices each, fit in n vertices."""
@@ -161,8 +149,8 @@ def find_balanced_subdivision(
     g: Graph, cfg: RunConfig, trace: Optional[PipelineTrace] = None
 ) -> SubdivisionCertificate | BuildFailure:
     """Units with disjoint interiors, core pigeonholing, exact-length
-    connections between unused hub centers, good/bad classification, and a
-    clique of fully-connected units glued into a TK_k^(ell).
+    connections between unused hub centers, and a clique of
+    fully-connected units glued into a TK_k^(ell).
     """
     trace = trace if trace is not None else PipelineTrace()
     if g.n == 0:
@@ -176,7 +164,6 @@ def find_balanced_subdivision(
         h1 = h2 = consts.m**4
         h3 = 2 * consts.m
         ell: Optional[int] = consts.ell
-        bad_threshold = math.floor(consts.kappa * consts.m**3)
         trace.add(
             f"paper constants: kappa={consts.kappa:.6f} m={consts.m} "
             f"D={consts.big_d:.6f} ell={consts.ell}"
@@ -187,7 +174,6 @@ def find_balanced_subdivision(
         # single-branch hubs of shape (1, 1) with spokes of length at most 2
         h0, h1, h2, h3 = max(1, target_k - 1), 1, 1, 2
         ell = ov.ell
-        bad_threshold = 0
         trace.add(
             f"desk unit parameters: target_k={target_k} "
             f"(h0,h1,h2,h3)=({h0},{h1},{h2},{h3}) ell={ell}"
@@ -297,13 +283,10 @@ def find_balanced_subdivision(
                 break
         trace.add(f"pair ({i},{j}): " + ("connected" if found else missed))
 
-    good, bad = classify_units(kept, usage, bad_threshold)
-    good_idx = [i for i, unit in enumerate(kept) if unit in good]
-    if bad:
-        trace.add(f"classified {len(bad)} unit(s) bad at threshold {bad_threshold}")
-
+    # Every kept unit is good: each segment was searched with all unit
+    # interiors blocked, so no segment runs through a unit's interior.
     clique = _max_clique(
-        good_idx, lambda a, b: (min(a, b), max(a, b)) in connected
+        list(range(len(kept))), lambda a, b: (min(a, b), max(a, b)) in connected
     )
     trace.add(f"connection clique size {len(clique)} of {len(kept)} units")
     if len(clique) >= 2:
@@ -330,19 +313,6 @@ def _component_k_cap(g: Graph) -> int:
     while (k + 1) + (k + 1) * k // 2 <= best:
         k += 1
     return k
-
-
-def _lift_certificate(
-    cert: SubdivisionCertificate, ids: tuple[int, ...]
-) -> SubdivisionCertificate:
-    return SubdivisionCertificate.from_paths(
-        cert.ell,
-        [ids[b] for b in cert.branch],
-        {
-            (ids[u], ids[v]): PathWitness(tuple(ids[x] for x in p.vertices))
-            for (u, v), p in cert.pairs()
-        },
-    )
 
 
 def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
@@ -431,7 +401,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
     if expander is not None and expander.graph.n >= 3:
         result = find_balanced_subdivision(expander.graph, cfg, trace)
         if isinstance(result, SubdivisionCertificate):
-            lifted = _lift_certificate(result, expander.ids)
+            lifted = result.relabel(expander.ids)
             require_verified(g, lifted)
             trace.route = "units"
             return PipelineOutcome("certificate", trace, certificate=lifted)

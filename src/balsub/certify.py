@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .connect import PathWitness
 from .graph import Graph
 from .outcomes import Clause, InvalidArgumentError, SearchBudgetExceeded, ValidationReport
 from .router import exact_paths
+
+# node budget shared by one whole brute-force search
+BRUTE_FORCE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,15 @@ class SubdivisionCertificate:
     @property
     def k(self) -> int:
         return len(self.branch)
+
+    def relabel(self, ids: Sequence[int]) -> "SubdivisionCertificate":
+        """Every vertex v renamed ids[v]: lifts a certificate found in a
+        subgraph through the subgraph's id table."""
+        paths = {
+            (ids[u], ids[v]): PathWitness(tuple(ids[x] for x in p.vertices))
+            for (u, v), p in self.pair_paths
+        }
+        return self.from_paths(self.ell, [ids[b] for b in self.branch], paths)
 
     def pairs(self):
         return iter(self.pair_paths)
@@ -176,7 +188,7 @@ def brute_force_subdivision(
     g: Graph,
     k: int,
     ell: int,
-    budget: int = 2_000_000,
+    budget: int = BRUTE_FORCE_BUDGET,
 ):
     """Exhaustive search for a TK_k^(ell).
 
@@ -217,7 +229,7 @@ def brute_force_subdivision(
     return NotFound()
 
 
-def best_balanced_clique(g: Graph, budget: int = 2_000_000):
+def best_balanced_clique(g: Graph, budget: int = BRUTE_FORCE_BUDGET):
     """Ground truth for small hosts: the largest k admitting a balanced
     subdivision, with the smallest ell for that k.
 
@@ -237,7 +249,7 @@ def best_balanced_clique(g: Graph, budget: int = 2_000_000):
     return None
 
 
-def best_k_at_ell(g: Graph, ell: int, budget: int = 2_000_000) -> int:
+def best_k_at_ell(g: Graph, ell: int, budget: int = BRUTE_FORCE_BUDGET) -> int:
     """Largest k with a TK_k^(ell), by complete search; 1 when none."""
     for k in range(g.n, 1, -1):
         if k + comb(k, 2) * (ell - 1) > g.n:

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 
 from .assemble import Overrides, PipelineOutcome, RunConfig, top_level
 from .certify import SubdivisionCertificate, verify_subdivision
-from .drc import DrcParams, drc_select
+from .drc import NODE_BUDGET, DrcParams, drc_select
 from .expander import EXHAUSTIVE_CAP, ExpansionProfile, verify_expander
 from .gadgets import (
     Adjuster,
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--target-k", type=int, default=None)
     p_find.add_argument("--sparse-threshold", type=float, default=None)
     p_find.add_argument("--exhaustive-cap", type=int, default=EXHAUSTIVE_CAP)
-    p_find.add_argument("--node-budget", type=int, default=200_000)
+    p_find.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p_find.add_argument("--trace", action="store_true")
     p_find.set_defaults(func=cmd_find)
 

@@ -19,6 +19,10 @@ from .connect import PathWitness
 from .graph import Graph
 from .outcomes import BuildFailure, InvalidArgumentError, SearchBudgetExceeded
 
+# default node budget of one dense_tk2 call, and of each segment search of
+# the unit pipeline (`Overrides.node_budget`, `balsub find --node-budget`)
+NODE_BUDGET = 200_000
+
 
 @dataclass(frozen=True)
 class DrcParams:
@@ -202,7 +206,7 @@ def _c4_free(g: Graph, comp: frozenset[int]) -> bool:
 
 
 def dense_tk2(
-    g: Graph, k: int, seed: int = 0, node_budget: int = 200_000
+    g: Graph, k: int, seed: int = 0, node_budget: int = NODE_BUDGET
 ) -> SubdivisionCertificate | BuildFailure:
     """Embed a TK_k^(2): k branch vertices plus one distinct middle vertex
     per pair.
@@ -419,11 +423,9 @@ def robust_degree_or_tk2(
     if average >= threshold:
         return RobustDegreeVerdict("degree_ok", average, threshold)
 
-    index = {v: i for i, v in enumerate(rest)}
-    offset = len(rest)
-    w_sorted = sorted(w_set)
-    for i, v in enumerate(w_sorted):
-        index[v] = offset + i
+    # crossing-graph ids: G - W first, then W, each in host order
+    ids = rest + sorted(w_set)
+    index = {v: i for i, v in enumerate(ids)}
     crossing_edges = [
         (index[u], index[v])
         for u, v in g.edges()
@@ -438,16 +440,6 @@ def robust_degree_or_tk2(
             f"gave no TK_{kappa}: {attempt.reason}",
             partial=(average, attempt),
         )
-    back = {i: v for v, i in index.items()}
-    lifted = SubdivisionCertificate.from_paths(
-        2,
-        [back[b] for b in attempt.branch],
-        {
-            (min(back[u], back[v]), max(back[u], back[v])): PathWitness(
-                tuple(back[x] for x in path.vertices)
-            )
-            for (u, v), path in attempt.pairs()
-        },
-    )
+    lifted = attempt.relabel(ids)
     require_verified(g, lifted)
     return RobustDegreeVerdict("found_tk2", average, threshold, lifted)

@@ -3,6 +3,11 @@
 These are the building blocks assembled into balanced subdivisions.  Every
 gadget has a builder returning the record or a BuildFailure, and a
 validator that recomputes each definitional clause from raw adjacency.
+
+Distances (growing, checking and trimming an expansion) come from
+`Graph.bfs_distances`, and shortest paths (spokes, bridges, arms, and the
+tail inside an expansion) from `connect.short_connect` and
+`connect.path_within`.  `_shortest_cycle` keeps its own BFS.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .connect import PathWitness, check_path, short_connect
+from .connect import PathWitness, check_path, path_within, short_connect
 from .graph import Graph, bipartite_half, core_numbers
 from .outcomes import (
     BuildFailure,
@@ -178,52 +183,17 @@ class Expansion:
 def validate_expansion(
     g: Graph, f: Expansion, size: int | None = None
 ) -> ValidationReport:
-    clauses = [Clause("anchor_inside", f.anchor in f.vertices)]
+    anchored = f.anchor in f.vertices
+    clauses = [Clause("anchor_inside", anchored)]
     if size is not None:
         clauses.append(Clause("size_exact", len(f.vertices) == size))
-    dist = _distances_within(g, f.vertices, f.anchor)
-    reachable = all(v in dist for v in f.vertices)
-    within = reachable and all(d <= f.radius for d in dist.values())
-    clauses.append(Clause("radius_respected", f.anchor in f.vertices and within))
+    # a record read from outside may name an anchor that is not in the host
+    within = False
+    if anchored:
+        dist = g.bfs_distances([f.anchor], frozenset(g.vertices()) - f.vertices)
+        within = len(dist) == len(f.vertices) and max(dist.values()) <= f.radius
+    clauses.append(Clause("radius_respected", within))
     return ValidationReport(tuple(clauses))
-
-
-def _distances_within(
-    g: Graph, region: frozenset[int], source: int
-) -> dict[int, int]:
-    if source not in region:
-        return {}
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in region and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def _bfs_layers(
-    g: Graph, source: int, blocked: frozenset[int], depth_cap: int
-) -> list[list[int]]:
-    """BFS layers from source avoiding `blocked`, id-sorted inside layers."""
-    layers = [[source]]
-    seen = {source}
-    while len(layers) - 1 < depth_cap:
-        nxt = sorted(
-            {
-                w
-                for u in layers[-1]
-                for w in g.neighbors(u)
-                if w not in seen and w not in blocked
-            }
-        )
-        if not nxt:
-            break
-        seen.update(nxt)
-        layers.append(nxt)
-    return layers
 
 
 def grow_expansion(
@@ -242,24 +212,17 @@ def grow_expansion(
     if anchor in blocked_set:
         raise InvalidArgumentError("anchor is blocked")
     cap = depth_cap if depth_cap is not None else g.n
-    layers = _bfs_layers(g, anchor, blocked_set, cap)
-    picked: list[int] = []
-    radius = 0
-    for depth, layer in enumerate(layers):
-        room = size - len(picked)
-        if room <= 0:
-            break
-        take = layer[:room]
-        picked.extend(take)
-        if take:
-            radius = depth
+    dist = g.bfs_distances([anchor], blocked_set)
+    picked = sorted(
+        (v for v, d in dist.items() if d <= cap), key=lambda v: (dist[v], v)
+    )[:size]
     if len(picked) < size:
         return BuildFailure(
             "expansion_collision",
             f"only {len(picked)} of {size} vertices reachable within "
             f"radius {cap} of {anchor}",
         )
-    return Expansion(anchor, frozenset(picked), radius)
+    return Expansion(anchor, frozenset(picked), dist[picked[-1]])
 
 
 def trim_expansion(g: Graph, f: Expansion, d_target: int) -> Expansion:
@@ -269,18 +232,14 @@ def trim_expansion(g: Graph, f: Expansion, d_target: int) -> Expansion:
         raise InvalidArgumentError(
             f"target size {d_target} outside 1..{len(f.vertices)}"
         )
-    order: list[tuple[int, int]] = []  # (depth, vertex) in BFS layer order
-    dist = _distances_within(g, f.vertices, f.anchor)
-    for v in sorted(f.vertices, key=lambda v: (dist.get(v, math.inf), v)):
-        if v in dist:
-            order.append((dist[v], v))
-    if len(order) < d_target:
+    dist = g.bfs_distances([f.anchor], frozenset(g.vertices()) - f.vertices)
+    if len(dist) < d_target:
         raise InvalidArgumentError(
             "expansion is not internally connected; cannot trim"
         )
-    kept = order[:d_target]
-    radius = max(d for d, _ in kept)
-    return Expansion(f.anchor, frozenset(v for _, v in kept), min(radius, f.radius))
+    # (depth, vertex) in BFS layer order, so the last one kept is deepest
+    kept = sorted((d, v) for v, d in dist.items())[:d_target]
+    return Expansion(f.anchor, frozenset(v for _, v in kept), min(kept[-1][0], f.radius))
 
 
 # -- units ---------------------------------------------------------------------
@@ -652,6 +611,9 @@ def _shortest_cycle(g: Graph) -> list[int] | None:
 
     Roots are scanned in ascending order, so once a root closes a cycle of
     the girth floor (3, or 4 in a bipartite graph) no later root can win.
+    Its BFS is its own, not `Graph.bfs_distances`: it keeps parent pointers
+    to rebuild the cycle and stops each root's search at half the best
+    length so far.
     """
     floor = 3 if g.two_coloring() is None else 4
     best: tuple[int, int, int, int] | None = None
@@ -797,15 +759,11 @@ def link_adjusters(
     touched_b = second.end1 if hit_b in second.end1.vertices else second.end2
     spare_b = second.end2 if touched_b is second.end1 else second.end1
 
-    tail_a = _expansion_path(g, touched_a, hit_a)
-    tail_b = _expansion_path(g, touched_b, hit_b)
+    tail_a = path_within(g, touched_a.vertices, touched_a.anchor, hit_a)
+    tail_b = path_within(g, touched_b.vertices, touched_b.anchor, hit_b)
     if tail_a is None or tail_b is None:
         return BuildFailure("disconnected", "an end expansion is not internally connected")
-    bridge_path = (
-        list(reversed(tail_a))
-        + list(bridge.vertices[1:-1])
-        + tail_b
-    )
+    bridge_path = tail_a[::-1] + list(bridge.vertices[1:-1]) + tail_b
     center = first.center | second.center | set(bridge_path)
     return Adjuster(
         core1=spare_a.anchor,
@@ -819,25 +777,6 @@ def link_adjusters(
         steps=first.steps + second.steps,
         m=max(first.m, second.m),
     )
-
-
-def _expansion_path(g: Graph, f: Expansion, target: int) -> list[int] | None:
-    """Anchor-to-target path inside the expansion's induced subgraph."""
-    if target == f.anchor:
-        return [f.anchor]
-    dist = _distances_within(g, f.vertices, f.anchor)
-    if target not in dist:
-        return None
-    path = [target]
-    while path[-1] != f.anchor:
-        cur = path[-1]
-        prev = min(
-            w
-            for w in g.neighbors(cur)
-            if w in dist and dist[w] == dist[cur] - 1
-        )
-        path.append(prev)
-    return list(reversed(path))
 
 
 # -- octopuses ----------------------------------------------------------------

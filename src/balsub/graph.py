@@ -104,7 +104,12 @@ class Graph:
     # -- traversal helpers -------------------------------------------------
 
     def components(self) -> list[frozenset[int]]:
-        """Connected components, sorted by smallest member id."""
+        """Connected components, sorted by smallest member id.
+
+        Not built on `bfs_distances`: `brute_force_subdivision` tries branch
+        sets in the frozensets' iteration order, which a version built on it
+        changed on G(n, p) hosts.
+        """
         seen = [False] * self.n
         comps: list[frozenset[int]] = []
         for s in range(self.n):
@@ -125,7 +130,11 @@ class Graph:
 
     def two_coloring(self) -> tuple[int, ...] | None:
         """Proper 2-coloring with color 0 on each component's least vertex,
-        or None when some component contains an odd cycle."""
+        or None when some component contains an odd cycle.  Not built on
+        `bfs_distances`, so that it stops at the first conflict: colouring by
+        `bfs_distances` parity took 1.0 ms instead of 0.017 ms on K160 and
+        7-40% longer on bipartite hosts (2-vCPU Xeon VM).
+        """
         color = [-1] * self.n
         for s in range(self.n):
             if color[s] != -1:
@@ -143,7 +152,8 @@ class Graph:
         return tuple(color)
 
     def bfs_distances(self, sources: Iterable[int], blocked: frozenset[int] = frozenset()) -> dict[int, int]:
-        """Distances from the source set, never entering `blocked`."""
+        """Distances from the source set, never entering `blocked`: the
+        library's one distance BFS, which grows and checks expansions."""
         dist: dict[int, int] = {}
         queue: deque[int] = deque()
         for s in sorted(set(sources)):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .connect import PathWitness, short_connect
+from .connect import PathWitness, path_within, short_connect
 from .graph import Graph
 from .outcomes import BuildFailure, InvalidArgumentError, SearchBudgetExceeded, TooLargeError
 
@@ -56,7 +56,8 @@ def exact_paths(
     parity cut, and a memo of (vertex, visited) states that yielded nothing.
     Each expanded node adds one to `spent[0]`, which callers may share
     across searches; once it passes `budget` the search raises
-    SearchBudgetExceeded.
+    SearchBudgetExceeded.  The distance bound comes from its own BFS, not
+    `Graph.bfs_distances`, because that BFS also decides the parity cut.
     """
     g.check_vertex(start)
     g.check_subset(targets)
@@ -210,15 +211,6 @@ def _expansion_vertices(f) -> frozenset[int]:
     return frozenset(verts)
 
 
-def _path_inside(g: Graph, region: frozenset[int], a: int, b: int) -> list[int] | None:
-    """Shortest a,b-path staying inside `region` (both endpoints included)."""
-    if a == b:
-        return [a]
-    outside = frozenset(g.vertices()) - region - {a, b}
-    hit = short_connect(g, [a], [b], outside)
-    return None if hit is None else list(hit.vertices)
-
-
 def connect_with_length(
     g: Graph,
     v: int,
@@ -310,7 +302,7 @@ def connect_pair_with_length(
     used_u = u1_set if first.vertices[0] in u1_set else u2_set
     other_u = u2_set if used_u is u1_set else u1_set
 
-    tail = _path_inside(g, touched, hit_end, touched_anchor)
+    tail = path_within(g, touched, hit_end, touched_anchor)
     if tail is None:
         return BuildFailure("window_unreachable", "touched expansion is not internally connected")
     p_short = PathWitness(tuple(list(first.vertices) + tail[1:]))
@@ -333,8 +325,6 @@ def connect_pair_with_length(
     )
     if isinstance(second, BuildFailure):
         return BuildFailure(second.reason, f"long leg failed: {second.detail}")
-    total = p_short.length + second.length
-    if total not in window:
-        return BuildFailure("window_unreachable", f"combined length {total} misses the window")
+    # the residual window puts the combined length inside `window`
     # orient both with the target-set endpoint first and the core last
     return p_short, second.reversed()

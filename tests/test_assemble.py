@@ -17,18 +17,14 @@ from balsub.assemble import (
     PipelineOutcome,
     RunConfig,
     PipelineTrace,
-    classify_units,
     derive_config,
     desk_target_k,
     find_balanced_subdivision,
     top_level,
 )
-from balsub.assemble import _component_k_cap, _lift_certificate
+from balsub.assemble import _component_k_cap
 from balsub.certify import SubdivisionCertificate, verify_subdivision
-from balsub.connect import PathWitness
-from balsub.gadgets import build_unit
 from balsub.generators import (
-    complete_bipartite,
     complete_graph,
     cycle_graph,
     incidence_plane,
@@ -108,23 +104,6 @@ def test_component_k_cap():
     assert _component_k_cap(complete_graph(12)) == 4
     assert _component_k_cap(complete_graph(3)) == 2
     assert _component_k_cap(Graph(0, [])) == 2
-
-
-# -- unit classification ------------------------------------------------------
-
-
-def test_classify_units_strict_threshold():
-    g = complete_bipartite(30, 30)
-    u1 = build_unit(g, (), 2, 1, 1, 2)
-    u2 = build_unit(g, u1.all_vertices(), 2, 1, 1, 2)
-    touched = sorted(u1.interior())[:2]
-    good, bad = classify_units([u1, u2], touched, 1)
-    assert good == [u2] and bad == [u1]
-    # threshold is strict: usage equal to the threshold stays good
-    good, bad = classify_units([u1, u2], touched, 2)
-    assert good == [u1, u2] and bad == []
-    good, bad = classify_units([u1, u2], (), 0)
-    assert good == [u1, u2]
 
 
 # -- unit pipeline -------------------------------------------------------------
@@ -288,20 +267,6 @@ def test_dense_sweep_respects_target_k():
     # TK_3^(2) needs a 6-cycle, which C9 lacks; with the sweep pinned the
     # dense route cannot fall back to k=2
     assert miss.certificate is None or miss.certificate.k != 2
-
-
-def test_lift_certificate_relabels():
-    base = SubdivisionCertificate.from_paths(
-        2,
-        [0, 1],
-        {(0, 1): PathWitness((0, 2, 1))},
-    )
-    ids = (10, 20, 30)
-    lifted = _lift_certificate(base, ids)
-    assert lifted.branch == (10, 20)
-    assert lifted.path_for(10, 20).vertices == (10, 30, 20)
-    host = Graph(31, [(10, 30), (30, 20)])
-    assert verify_subdivision(host, lifted).passed
 
 
 def test_unit_route_golden_on_k80():

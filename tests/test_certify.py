@@ -165,6 +165,20 @@ def test_json_round_trip():
     ) == cert
 
 
+def test_relabel_lifts_through_an_id_table():
+    base = SubdivisionCertificate.from_paths(
+        2,
+        [0, 1],
+        {(0, 1): PathWitness((0, 2, 1))},
+    )
+    ids = (10, 20, 30)
+    lifted = base.relabel(ids)
+    assert lifted.branch == (10, 20)
+    assert lifted.path_for(10, 20).vertices == (10, 30, 20)
+    host = Graph(31, [(10, 30), (30, 20)])
+    assert verify_subdivision(host, lifted).passed
+
+
 def test_from_json_dict_rejects_malformed():
     good = _cycle_cert().to_json_dict()
     for broken in (

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from balsub.certify import SubdivisionCertificate, verify_subdivision
-from balsub.cli import main
+from balsub.assemble import Overrides
+from balsub.cli import build_parser, main
 from balsub.generators import (
     bipartite_gnp,
     complete_bipartite,
@@ -149,6 +150,12 @@ def test_find_exhaustive_cap(capsys, tmp_path):
     assert capped[0] == 0
     assert "verdict=sampled_ok" in capped[2]
     assert capped[1] == out  # the cap changes the evidence, not the answer
+
+
+def test_find_defaults_match_the_library():
+    args = build_parser().parse_args(["find", "x"])
+    assert args.node_budget == Overrides().node_budget
+    assert args.exhaustive_cap == Overrides().exhaustive_cap
 
 
 def test_find_rejects_removed_overrides(capsys, tmp_path):
@@ -298,6 +305,25 @@ def test_gadget_hub_build_check_round_trip(capsys, tmp_path):
     code, out, _ = run(
         capsys,
         ["gadget", "check", "hub", str(small), "--record", str(record)],
+    )
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+def test_gadget_check_reports_an_anchor_outside_the_host(capsys, tmp_path):
+    gpath = tmp_path / "c6.txt"
+    gpath.write_text(to_edge_list(cycle_graph(6)))
+    _, out, _ = run(
+        capsys,
+        ["gadget", "build", "adjuster", str(gpath), "--size", "1", "--m", "1"],
+    )
+    body = json.loads(out)
+    body["end1"]["anchor"] = 99
+    record = tmp_path / "adjuster.json"
+    record.write_text(json.dumps(body))
+    code, out, _ = run(
+        capsys,
+        ["gadget", "check", "adjuster", str(gpath), "--record", str(record)],
     )
     assert code == 1
     assert json.loads(out)["passed"] is False

@@ -6,12 +6,14 @@ by hand on small hosts and cross-checked with independent searches inside
 the tests (girth oracle, exhaustive path-length enumeration).
 """
 
+import math
 import random
+from collections import deque
 
 import pytest
 
-from balsub import router
-from balsub.connect import PathWitness
+from balsub import gadgets, router
+from balsub.connect import PathWitness, path_within
 from balsub.gadgets import (
     Adjuster,
     BuildFailure,
@@ -246,6 +248,134 @@ def test_validate_expansion_rejects():
     # claimed radius below the true eccentricity
     rep = validate_expansion(g, Expansion(0, frozenset({0, 1, 2, 3}), 2))
     assert not clause_map(rep)["radius_respected"]
+
+
+# The gadget layer once kept three BFS loops of its own.  They stay here as
+# oracles: the shared traversals (`Graph.bfs_distances`,
+# `connect.path_within`) must give exactly what they gave.
+
+
+def oracle_distances_within(g, region, source):
+    if source not in region:
+        return {}
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w in region and w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def oracle_bfs_layers(g, source, blocked, depth_cap):
+    layers = [[source]]
+    seen = {source}
+    while len(layers) - 1 < depth_cap:
+        nxt = sorted(
+            {
+                w
+                for u in layers[-1]
+                for w in g.neighbors(u)
+                if w not in seen and w not in blocked
+            }
+        )
+        if not nxt:
+            break
+        seen.update(nxt)
+        layers.append(nxt)
+    return layers
+
+
+def oracle_expansion_path(g, f, target):
+    if target == f.anchor:
+        return [f.anchor]
+    dist = oracle_distances_within(g, f.vertices, f.anchor)
+    if target not in dist:
+        return None
+    path = [target]
+    while path[-1] != f.anchor:
+        cur = path[-1]
+        path.append(
+            min(w for w in g.neighbors(cur) if dist.get(w) == dist[cur] - 1)
+        )
+    return list(reversed(path))
+
+
+def oracle_grow(g, anchor, size, blocked, cap):
+    """(vertices, radius) layer by layer, or None when too few are reachable."""
+    picked, radius = [], 0
+    for depth, layer in enumerate(oracle_bfs_layers(g, anchor, blocked, cap)):
+        take = layer[: size - len(picked)]
+        picked += take
+        if take:
+            radius = depth
+    return (frozenset(picked), radius) if len(picked) == size else None
+
+
+def oracle_trim(g, f, d_target):
+    dist = oracle_distances_within(g, f.vertices, f.anchor)
+    order = [
+        (dist[v], v)
+        for v in sorted(f.vertices, key=lambda v: (dist.get(v, math.inf), v))
+        if v in dist
+    ]
+    if len(order) < d_target:
+        return None
+    kept = order[:d_target]
+    return frozenset(v for _, v in kept), min(max(d for d, _ in kept), f.radius)
+
+
+def test_expansion_traversals_match_the_old_private_bfs():
+    rng = random.Random(7)
+    compared = long_paths = 0
+    for trial in range(750):
+        n = rng.randint(2, 22)
+        g = gnp(n, rng.choice((0.1, 0.2, 0.35, 0.5)), trial)
+        for host in (g, bipartite_half(g)[0]):
+            anchor = rng.randrange(n)
+            blocked = frozenset(
+                v for v in range(n) if v != anchor and rng.random() < 0.25
+            )
+            cap = rng.choice((None, 0, 1, 2, 3))
+            size = rng.randint(1, n)
+            grown = grow_expansion(host, anchor, size, blocked, cap)
+            want = oracle_grow(host, anchor, size, blocked, n if cap is None else cap)
+            if want is None:
+                assert isinstance(grown, BuildFailure)
+            else:
+                assert (grown.vertices, grown.radius) == want
+
+            # a random region, which may leave out its own anchor
+            region = frozenset(v for v in range(n) if rng.random() < 0.6)
+            f = Expansion(anchor, region, rng.randint(0, 4))
+            dist = oracle_distances_within(host, region, anchor)
+            outside = frozenset(range(n)) - region
+            assert host.bfs_distances([anchor], outside) == dist
+            within = all(v in dist for v in region) and all(
+                d <= f.radius for d in dist.values()
+            )
+            assert clause_map(validate_expansion(host, f))["radius_respected"] == (
+                anchor in region and within
+            )
+            if region:
+                target = rng.randint(1, len(region))
+                want_trim = oracle_trim(host, f, target)
+                if want_trim is None:
+                    with pytest.raises(InvalidArgumentError):
+                        trim_expansion(host, f, target)
+                else:
+                    t = trim_expansion(host, f, target)
+                    assert (t.vertices, t.radius) == want_trim
+                if anchor in region:
+                    b = rng.choice(sorted(region))
+                    got = path_within(host, region, anchor, b)
+                    assert got == oracle_expansion_path(host, f, b)
+                    long_paths += got is not None and len(got) > 2
+            compared += 1
+    assert compared == 1500
+    assert long_paths >= 100
 
 
 # -- units --------------------------------------------------------------------
@@ -518,6 +648,38 @@ def test_link_rejects_bad_inputs():
     out = link_adjusters(g2, b1, b2)
     assert isinstance(out, BuildFailure)
     assert out.reason == "disconnected"
+
+
+def test_link_adjusters_matches_the_old_expansion_path(monkeypatch):
+    # linking with the tails taken by the old in-expansion path gives the
+    # same adjuster, or the same failure
+    tails = []
+
+    def old_tail(g, region, a, b):
+        path = oracle_expansion_path(g, Expansion(a, frozenset(region), 0), b)
+        tails.append(path)
+        return path
+
+    rng = random.Random(5)
+    pairs = 0
+    for trial in range(700):
+        g = gnp(rng.randint(20, 40), rng.choice((0.1, 0.15, 0.2, 0.3)), trial)
+        size, m = rng.randint(1, 8), rng.choice((2, 3, 4))
+        first = build_simple_adjuster(g, (), size, m)
+        if isinstance(first, BuildFailure):
+            continue
+        second = build_simple_adjuster(g, first.all_vertices(), size, m)
+        if isinstance(second, BuildFailure):
+            continue
+        got = link_adjusters(g, first, second)
+        with monkeypatch.context() as patch:
+            patch.setattr(gadgets, "path_within", old_tail)
+            assert link_adjusters(g, first, second) == got
+        pairs += 1
+        if pairs == 300:
+            break
+    assert pairs == 300
+    assert sum(1 for t in tails if t is not None and len(t) > 2) >= 30
 
 
 def test_adjuster_menu_parity_on_bipartite_hosts():

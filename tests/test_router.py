@@ -5,15 +5,15 @@ import random
 import pytest
 
 from balsub import router
-from balsub.connect import check_path, short_connect
-from balsub.gadgets import Expansion
+from balsub.connect import check_path, path_within, short_connect
+from balsub.gadgets import Expansion, grow_expansion
 from balsub.generators import (
     complete_graph,
     cycle_graph,
     gnp,
     path_graph,
 )
-from balsub.graph import Graph
+from balsub.graph import Graph, bipartite_half
 from balsub.outcomes import (
     BuildFailure,
     InvalidArgumentError,
@@ -239,7 +239,7 @@ def test_path_inside_matches_induced_subgraph_oracle():
         g = gnp(n, rng.choice((0.2, 0.35, 0.5)), trial)
         region = frozenset(v for v in range(n) if rng.random() < 0.6)
         a, b = rng.randrange(n), rng.randrange(n)
-        got = router._path_inside(g, region, a, b)
+        got = path_within(g, region, a, b)
         assert got == induced_path_inside(g, region, a, b)
         found += got is not None and len(got) > 2
     assert found >= 40
@@ -269,6 +269,42 @@ def test_connect_pair_disconnected_failure():
     f4 = Expansion(10, frozenset({10, 11}), 1)
     out = connect_pair_with_length(g, u1, u2, f3, f4, window=LengthWindow(2, 6))
     assert isinstance(out, BuildFailure)
+
+
+def test_connect_pair_legs_sum_into_random_windows():
+    # the residual window of the long leg is what keeps the total inside
+    # the window: no success may land outside it, on K_n, G(n, p) and
+    # bipartite hosts, with windows of one to four lengths
+    rng = random.Random(3)
+    successes = 0
+    for trial in range(200):
+        n = rng.randint(8, 16)
+        g = gnp(n, rng.choice((0.3, 0.5, 0.7)), trial)
+        if trial % 3 == 0:
+            g = complete_graph(n)
+        elif trial % 3 == 1:
+            g = bipartite_half(g)[0]  # parity rules out half the lengths
+        order = list(range(n))
+        rng.shuffle(order)
+        u1, u2, rest = frozenset(order[:2]), frozenset(order[2:4]), order[4:]
+        f3 = grow_expansion(g, rest[0], rng.randint(1, 2), order[:4])
+        if isinstance(f3, BuildFailure):
+            continue
+        anchor4 = next(v for v in rest if v not in f3.vertices)
+        f4 = grow_expansion(g, anchor4, rng.randint(1, 2), set(order[:4]) | f3.vertices)
+        if isinstance(f4, BuildFailure):
+            continue
+        lo = rng.randint(2, 7)
+        window = LengthWindow(lo, lo + rng.choice((0, 0, 1, 3)))
+        out = connect_pair_with_length(g, u1, u2, f3, f4, window=window)
+        if isinstance(out, BuildFailure):
+            continue
+        p, q = out
+        assert check_path(g, p) and check_path(g, q)
+        assert not set(p.vertices) & set(q.vertices)
+        assert p.length + q.length in window
+        successes += 1
+    assert successes >= 100
 
 
 def test_connect_pair_forced_single_edges():
