@@ -47,6 +47,7 @@ from .outcomes import (
     BuildFailure,
     EmptyGraphError,
     InvalidArgumentError,
+    InvalidVertexError,
     TooLargeError,
     ValidationReport,
 )
@@ -366,14 +367,14 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(path)
         avoid = _parse_avoid(args.avoid)
-    except (InvalidArgumentError, OSError) as exc:
+    except (InvalidArgumentError, InvalidVertexError, OSError) as exc:
         return _fail_usage(str(exc))
     flags = _gadget_flags(args)
     try:
         if args.action == "build":
             return _gadget_build(g, args, avoid, flags)
         return _gadget_check(g, args, flags)
-    except (InvalidArgumentError, TooLargeError) as exc:
+    except (InvalidArgumentError, InvalidVertexError, TooLargeError) as exc:
         return _fail_usage(str(exc))
 
 

@@ -10,7 +10,6 @@ wraps it for a path confined to a region.  Plain distances come from
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 

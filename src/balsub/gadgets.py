@@ -98,36 +98,52 @@ def validate_hub(g: Graph, hub: Hub) -> ValidationReport:
     return ValidationReport(tuple(clauses))
 
 
+def _low_bits(mask: int, count: int) -> list[int]:
+    """The `count` least vertex ids set in `mask` (fewer if it has fewer)."""
+    out = []
+    while mask and len(out) < count:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
 def _greedy_hub_at(
-    g: Graph, inside: set[int], center: int, h1: int, h2: int, c4_mode: bool
+    g: Graph, inside: int, center: int, h1: int, h2: int, c4_mode: bool
 ) -> Hub | None:
-    adj = g._adj
-    pool = [z for z in adj[center] if z in inside]
-    while len(pool) >= h1:
-        chosen = pool[:h1]
-        b1 = {center, *chosen}
-        used: set[int] = set()
+    """First hub at `center` inside the vertex mask `inside`: branches and
+    leaves are the least ids available, as in the sorted adjacency lists."""
+    masks = g.neighbor_masks()
+    pool = masks[center] & inside
+    while pool.bit_count() >= h1:
+        chosen = _low_bits(pool, h1)
+        b1 = 1 << center
+        for z in chosen:
+            b1 |= 1 << z
+        free = inside & ~b1
+        used = 0
         layers: list[tuple[int, tuple[int, ...]]] = []
         bad: int | None = None
         for z in chosen:
-            avail = [
-                s
-                for s in adj[z]
-                if s in inside and s not in b1 and (c4_mode or s not in used)
-            ]
-            if len(avail) < h2:
+            avail = masks[z] & free
+            if not c4_mode:
+                avail &= ~used
+            take = _low_bits(avail, h2)
+            if len(take) < h2:
                 bad = z
                 break
-            take = tuple(avail[:h2])
-            if c4_mode and used & set(take):
+            take_mask = 0
+            for s in take:
+                take_mask |= 1 << s
+            if c4_mode and used & take_mask:
                 raise InvalidArgumentError(
                     "host violates the claimed 4-cycle freedom"
                 )
-            used |= set(take)
-            layers.append((z, take))
+            used |= take_mask
+            layers.append((z, tuple(take)))
         if bad is None:
             return Hub(center, tuple(chosen), tuple(layers))
-        pool.remove(bad)
+        pool ^= 1 << bad
     return None
 
 
@@ -152,8 +168,11 @@ def build_hub(
     if not core:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
     for t in sorted(set(core.values()), reverse=True):
-        inside = {v for v, c in core.items() if c >= t}
-        for center in sorted(inside):
+        centers = sorted(v for v, c in core.items() if c >= t)
+        inside = 0
+        for v in centers:
+            inside |= 1 << v
+        for center in centers:
             found = _greedy_hub_at(g, inside, center, h1, h2, c4_mode)
             if found is not None:
                 return found

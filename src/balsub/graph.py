@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .outcomes import EmptyGraphError, InvalidArgumentError, InvalidVertexError
 
@@ -86,8 +86,10 @@ class Graph:
 
     def check_subset(self, vs: Iterable[int]) -> frozenset[int]:
         out = frozenset(vs)
-        for v in out:
-            self.check_vertex(v)
+        # the range check is cheap; the loop only runs to name the culprit
+        if out and (min(out) < 0 or max(out) >= self.n):
+            for v in out:
+                self.check_vertex(v)
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -228,37 +230,39 @@ def core_numbers(g: Graph, alive: Iterable[int]) -> dict[int, int]:
     vertex lies in the t-core, the maximal induced subgraph of G[alive]
     with minimum degree >= t.
 
-    Peels a least-degree vertex at a time on the host's own adjacency, so
-    no subgraph is built; a vertex's core number is the largest degree
-    peeled up to and including it.
+    A level peel on the host's bitset adjacency, so no subgraph is built.
+    Each level k is the least degree left.  While some vertex has degree
+    <= k, every such vertex is removed in one round and gets core number k,
+    and only the removed batch's live neighbours have their degrees
+    recounted (by popcount).  When none is left, every remaining degree
+    exceeds k, so the next level is higher.
     """
     live = g.check_subset(alive)
-    adj = g._adj
-    # degree among the unpeeled vertices of `alive`; -1 once peeled or
-    # outside `alive`, so a live neighbour of a live vertex reads >= 1
-    deg = [-1] * g.n
+    masks = g.neighbor_masks()
+    rest = 0
     for v in live:
-        deg[v] = len(live.intersection(adj[v]))
-    bins: list[list[int]] = [[] for _ in range(max(deg, default=-1) + 1)]
-    for v in live:
-        bins[deg[v]].append(v)
+        rest |= 1 << v
+    deg = {v: (masks[v] & rest).bit_count() for v in live}
     core: dict[int, int] = {}
-    floor = d = 0
-    while d < len(bins):
-        if not bins[d]:
-            d += 1
-            continue
-        v = bins[d].pop()
-        if deg[v] != d:
-            continue  # stale entry: v was peeled or its degree dropped
-        deg[v] = -1
-        floor = max(floor, d)
-        core[v] = floor
-        for w in adj[v]:
-            if deg[w] > 0:
-                deg[w] -= 1
-                bins[deg[w]].append(w)
-        d = max(d - 1, 0)
+    while deg:
+        k = min(deg.values())
+        batch = [v for v, d in deg.items() if d <= k]
+        while batch:
+            touched = 0
+            for v in batch:
+                core[v] = k
+                del deg[v]
+                rest ^= 1 << v
+                touched |= masks[v]
+            touched &= rest
+            batch = []
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                w = low.bit_length() - 1
+                d = deg[w] = (masks[w] & rest).bit_count()
+                if d <= k:
+                    batch.append(w)
     return core
 
 

@@ -329,6 +329,37 @@ def test_gadget_check_reports_an_anchor_outside_the_host(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+def test_gadget_check_reports_a_core_outside_the_host(capsys, tmp_path):
+    gpath = tmp_path / "c6.txt"
+    gpath.write_text(to_edge_list(cycle_graph(6)))
+    _, out, _ = run(
+        capsys,
+        ["gadget", "build", "adjuster", str(gpath), "--size", "1", "--m", "1"],
+    )
+    body = json.loads(out)
+    body["core1"] = 99
+    record = tmp_path / "adjuster.json"
+    record.write_text(json.dumps(body))
+    code, out, err = run(
+        capsys,
+        ["gadget", "check", "adjuster", str(gpath), "--record", str(record)],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 99 outside 0..5\n"
+
+
+def test_gadget_build_reports_an_avoid_vertex_outside_the_host(capsys, tmp_path):
+    gpath = tmp_path / "c6.txt"
+    gpath.write_text(to_edge_list(cycle_graph(6)))
+    code, out, err = run(
+        capsys,
+        ["gadget", "build", "hub", str(gpath), "--h1", "1", "--h2", "1",
+         "--avoid", "99"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 99 outside 0..5\n"
+
+
 def test_gadget_build_failure_shape(capsys, tmp_path):
     path = tmp_path / "p8.txt"
     path.write_text(to_edge_list(Graph(8, [(i, i + 1) for i in range(7)])))

@@ -45,7 +45,7 @@ from balsub.generators import (
     incidence_plane,
     path_graph,
 )
-from balsub.graph import Graph, bipartite_half
+from balsub.graph import Graph, bipartite_half, core_numbers
 from balsub.outcomes import InvalidArgumentError, InvalidVertexError
 
 
@@ -157,6 +157,115 @@ def test_hub_validator_rejects_tampering():
     bad = Hub(2, (1, 3), ((1, (4,)), (3, (0,))))
     report = validate_hub(p, bad)
     assert not clause_map(report)["second_layer_adjacent"]
+
+
+def oracle_core_numbers(g, alive):
+    """The bucket peel `graph.core_numbers` used before the level peel:
+    one least-degree vertex at a time on the sorted adjacency lists."""
+    live = g.check_subset(alive)
+    deg = [-1] * g.n
+    for v in live:
+        deg[v] = len(live.intersection(g.neighbors(v)))
+    bins = [[] for _ in range(max(deg, default=-1) + 1)]
+    for v in live:
+        bins[deg[v]].append(v)
+    core = {}
+    floor = d = 0
+    while d < len(bins):
+        if not bins[d]:
+            d += 1
+            continue
+        v = bins[d].pop()
+        if deg[v] != d:
+            continue
+        deg[v] = -1
+        floor = max(floor, d)
+        core[v] = floor
+        for w in g.neighbors(v):
+            if deg[w] > 0:
+                deg[w] -= 1
+                bins[deg[w]].append(w)
+        d = max(d - 1, 0)
+    return core
+
+
+def oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode):
+    """The list-based `_greedy_hub_at` used before the mask version."""
+    pool = [z for z in g.neighbors(center) if z in inside]
+    while len(pool) >= h1:
+        chosen = pool[:h1]
+        b1 = {center, *chosen}
+        used = set()
+        layers = []
+        bad = None
+        for z in chosen:
+            avail = [
+                s
+                for s in g.neighbors(z)
+                if s in inside and s not in b1 and (c4_mode or s not in used)
+            ]
+            if len(avail) < h2:
+                bad = z
+                break
+            take = tuple(avail[:h2])
+            if c4_mode and used & set(take):
+                raise InvalidArgumentError("host violates the claimed 4-cycle freedom")
+            used |= set(take)
+            layers.append((z, take))
+        if bad is None:
+            return Hub(center, tuple(chosen), tuple(layers))
+        pool.remove(bad)
+    return None
+
+
+def oracle_build_hub(g, avoid, h1, h2, c4_mode):
+    """`build_hub` rebuilt from the two oracles above."""
+    gone = frozenset(avoid)
+    core = oracle_core_numbers(g, (v for v in g.vertices() if v not in gone))
+    if not core:
+        return BuildFailure("insufficient_degree", "nothing left outside avoid")
+    for t in sorted(set(core.values()), reverse=True):
+        inside = {v for v, c in core.items() if c >= t}
+        for center in sorted(inside):
+            found = oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode)
+            if found is not None:
+                return found
+    return BuildFailure(
+        "insufficient_degree",
+        f"no center can supply {h1} branches with {h2} private leaves each",
+    )
+
+
+def _hub_or_error(build, *args):
+    try:
+        return build(*args)
+    except InvalidArgumentError as exc:
+        return ("error", str(exc))
+
+
+def test_core_numbers_and_build_hub_match_the_list_oracles():
+    rng = random.Random(8)
+    hosts = []
+    for trial in range(200):
+        g = gnp(rng.randint(1, 60), rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)), trial)
+        hosts += [g, bipartite_half(g)[0]]
+    for n in range(1, 41):
+        hosts += [complete_graph(n), complete_bipartite(n // 2 + 1, n // 2 + 1)]
+    hosts += [hypercube(d) for d in range(1, 7)] + [path_graph(n) for n in (1, 2, 5, 30, 60)]
+    outcomes = set()
+    for g in hosts:
+        for _ in range(2):
+            share = rng.random() / 2
+            avoid = frozenset(v for v in g.vertices() if rng.random() < share)
+            alive = [v for v in g.vertices() if v not in avoid]
+            assert core_numbers(g, alive) == oracle_core_numbers(g, alive)
+            h1, h2 = rng.randint(1, 4), rng.randint(1, 4)
+            c4_mode = rng.random() < 0.5
+            want = _hub_or_error(oracle_build_hub, g, avoid, h1, h2, c4_mode)
+            assert _hub_or_error(build_hub, g, avoid, h1, h2, c4_mode) == want
+            outcomes.add("error" if isinstance(want, tuple) else type(want).__name__)
+    assert len(hosts) == 491
+    assert outcomes == {"Hub", "BuildFailure", "error"}
 
 
 # -- expansions ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Core graph container and degree/partition helpers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,21 @@ def test_vertex_ids_validated():
         g.check_vertex(-1)
     with pytest.raises(InvalidVertexError):
         g.check_subset([0, 5])
+
+
+def test_check_subset_names_the_first_bad_vertex_in_set_order():
+    g = Graph(10)
+    rng = random.Random(3)
+    for _ in range(300):
+        vs = [rng.randint(-12, 22) for _ in range(rng.randint(0, 8))]
+        # the reference: check_vertex over the frozenset, in its own order
+        bad = [v for v in frozenset(vs) if not 0 <= v < 10]
+        if not bad:
+            assert g.check_subset(vs) == frozenset(vs)
+            continue
+        with pytest.raises(InvalidVertexError) as exc:
+            g.check_subset(vs)
+        assert str(exc.value) == f"vertex {bad[0]} outside 0..9"
 
 
 def test_has_edge_symmetric():
