@@ -24,11 +24,15 @@ echo "# 4. check the expansion property of a small host ---------------"
 run gen cycle 8 > "$tmp/c8.txt"
 run expander "$tmp/c8.txt" --k 2.0 || true
 
-echo "# 5. build a length-menu gadget on a hexagon --------------------"
+echo "# 5. sample the expansion property above the exhaustive cap ----"
+run gen kdd 40 1 > "$tmp/k4040.txt"
+run expander "$tmp/k4040.txt" --k 1 --mode sampled --seed 0
+
+echo "# 6. build a length-menu gadget on a hexagon --------------------"
 run gen cycle 6 > "$tmp/c6.txt"
 run gadget build adjuster "$tmp/c6.txt" --size 1 --m 2
 
-echo "# 6. rich-subset selection on a random bipartite host -----------"
+echo "# 7. rich-subset selection on a random bipartite host -----------"
 python3 -c 'from balsub.generators import bipartite_gnp, to_edge_list
 g, _ = bipartite_gnp(60, 60, 0.5, seed=11)
 print(to_edge_list(g), end="")' > "$tmp/bip.txt"

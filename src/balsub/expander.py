@@ -55,7 +55,9 @@ class ExpanderVerdict:
     """Result of checking the expansion property.
 
     status is "certified" (exhaustive pass), "refuted" (witness attached),
-    or "sampled_ok" (heuristic pass; never a certificate).
+    or "sampled_ok" (sampled pass; never a certificate, even when the
+    degree bound settled every size and no set was drawn).  sets_checked
+    counts the candidate sets, including those the degree bound settled.
     """
 
     status: str
@@ -67,6 +69,21 @@ def _range_of_sizes(n: int, k: float) -> range:
     lo = max(1, math.ceil(k / 2))
     hi = n // 2
     return range(lo, hi + 1)
+
+
+def _external_lower_bounds(g: Graph, sizes: range) -> list[int]:
+    """A lower bound on |N(X)| for each set size in `sizes`, valid on a
+    connected host.
+
+    X is never all of V, so connectivity leaves some neighbour outside X.
+    Each vertex of X has at least delta neighbours, at most s - 1 of them
+    in X.  On a bipartite host a vertex of X on one side has at least delta
+    neighbours on the other, so taking it on the side facing X's smaller
+    part leaves at least delta - floor(s/2) outside X.
+    """
+    delta = min(g.degree(v) for v in g.vertices())
+    bipartite = g.two_coloring() is not None
+    return [max(1, delta - (s // 2 if bipartite else s - 1)) for s in sizes]
 
 
 def verify_expander(
@@ -82,12 +99,15 @@ def verify_expander(
     Exhaustive mode enumerates every candidate set (refusing hosts larger
     than `cap`); sampled mode checks whole components, low-degree prefixes,
     and randomly grown connected sets, and can only refute or report
-    "sampled_ok".
+    "sampled_ok".  On a connected host, sampled mode first tries a
+    degree/connectivity lower bound on |N(X)|; when it meets the need
+    at every size, no set can fail and none is drawn, and sets_checked is
+    the count the loop would have checked.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot verify expansion of the empty graph")
     sizes = _range_of_sizes(g.n, profile.k)
-    if g.n < profile.k:
+    if not sizes:
         # no candidate sets exist, the property holds vacuously
         return ExpanderVerdict("certified", 0)
 
@@ -118,12 +138,18 @@ def verify_expander(
     if mode != "sampled":
         raise InvalidArgumentError(f"unknown mode {mode!r}")
 
-    rng = random.Random(seed)
     lo, hi = sizes.start, sizes.stop - 1
-    candidates: list[frozenset[int]] = []
-    for comp in g.components():
-        if lo <= len(comp) <= hi:
-            candidates.append(comp)
+    comps = g.components()
+    if len(comps) == 1 and all(
+        bound >= epsilon_of(s, profile) * s
+        for s, bound in zip(sizes, _external_lower_bounds(g, sizes))
+    ):
+        # the loop below would keep each distinct degree prefix and grow every
+        # random set to its drawn size, and none of them could fail
+        prefixes = len({lo, (lo + hi) // 2, hi})
+        return ExpanderVerdict("sampled_ok", prefixes + max(trials, 0))
+    rng = random.Random(seed)
+    candidates = [comp for comp in comps if lo <= len(comp) <= hi]
     by_degree = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
     for size in {lo, (lo + hi) // 2, hi}:
         if lo <= size <= hi:
@@ -186,8 +212,6 @@ def _half_average_core(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         for w in g._adj[victim]:
             if alive[w]:
                 deg[w] -= 1
-    if count == g.n:
-        return g, tuple(g.vertices())
     return g.induced(v for v in g.vertices() if alive[v])
 
 

@@ -175,8 +175,15 @@ class Graph:
     # -- subgraphs ----------------------------------------------------------
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph plus the table mapping new ids to host ids."""
-        ids = tuple(sorted(self.check_subset(keep)))
+        """Induced subgraph plus the table mapping new ids to host ids.
+
+        Keeping every vertex returns this graph itself, which is safe
+        because graphs are immutable.
+        """
+        kept = self.check_subset(keep)
+        if len(kept) == self.n:
+            return self, tuple(self.vertices())
+        ids = tuple(sorted(kept))
         back = {old: new for new, old in enumerate(ids)}
         edges = [
             (back[u], back[v])

@@ -5,8 +5,10 @@ module-entry checks go through real subprocesses.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +247,20 @@ def test_expander_sampled_needs_seed(capsys, tmp_path):
     assert json.loads(out)["status"] == "sampled_ok"
 
 
+def test_expander_sampled_on_an_empty_size_range(capsys, tmp_path):
+    # ceil(23/2) = 12 > 23 // 2: no set size to check, in either mode
+    path = tmp_path / "k23.txt"
+    path.write_text(to_edge_list(complete_graph(23)))
+    for mode in ("sampled", "exhaustive"):
+        code, out, _ = run(
+            capsys,
+            ["expander", str(path), "--k", "23", "--mode", mode, "--seed", "0"],
+        )
+        assert code == 0
+        body = json.loads(out)
+        assert (body["status"], body["sets_checked"]) == ("certified", 0)
+
+
 # -- gadget -----------------------------------------------------------------------
 
 
@@ -461,3 +477,15 @@ def test_module_entry_byte_determinism(tmp_path):
 def test_module_entry_requires_subcommand():
     out = _module_run([])
     assert out.returncode == 2
+
+
+def test_cli_demo_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        ["sh", str(root / "demos" / "cli_demo.sh")], env=env, capture_output=True
+    )
+    assert out.returncode == 0, out.stderr.decode()

@@ -1,15 +1,17 @@
 """Sublinear expansion rate, verification, and expander extraction."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from balsub.expander import (
     ExpansionProfile,
+    _external_lower_bounds,
     epsilon_of,
     extract_bipartite_expander,
     extract_expander,
@@ -21,9 +23,10 @@ from balsub.generators import (
     complete_graph,
     cycle_graph,
     gnp,
+    hypercube,
     path_graph,
 )
-from balsub.graph import Graph, average_degree, external_neighborhood
+from balsub.graph import Graph, average_degree, bipartite_half, external_neighborhood
 from balsub.outcomes import (
     DensityTooLowError,
     EmptyGraphError,
@@ -135,6 +138,150 @@ def test_sampled_mode_never_certifies():
         )
         assert v.status in ("sampled_ok", "refuted")
         assert v.status != "certified"
+
+
+def test_sampled_mode_on_an_empty_size_range_is_vacuous():
+    # n = 23 >= k = 23, but ceil(k/2) = 12 > n//2 = 11: no candidate set
+    g = complete_graph(23)
+    p = ExpansionProfile(1.0, 23.0)
+    for mode in ("sampled", "exhaustive"):
+        v = verify_expander(g, p, mode=mode, seed=0)
+        assert (v.status, v.sets_checked, v.witness) == ("certified", 0, None)
+
+
+def _sampled_oracle(g, profile, trials, seed):
+    """The sampled check without the degree bound: components, three
+    degree prefixes and `trials` randomly grown connected sets."""
+    lo, hi = max(1, math.ceil(profile.k / 2)), g.n // 2
+    rng = random.Random(seed)
+    candidates = [comp for comp in g.components() if lo <= len(comp) <= hi]
+    by_degree = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
+    for size in {lo, (lo + hi) // 2, hi}:
+        if lo <= size <= hi:
+            candidates.append(frozenset(by_degree[:size]))
+    for _ in range(trials):
+        size = rng.randint(lo, hi)
+        start = rng.randrange(g.n)
+        grown = {start}
+        frontier = [start]
+        while len(grown) < size and frontier:
+            u = frontier[rng.randrange(len(frontier))]
+            fresh = [w for w in g.neighbors(u) if w not in grown]
+            if not fresh:
+                frontier.remove(u)
+                continue
+            w = fresh[rng.randrange(len(fresh))]
+            grown.add(w)
+            frontier.append(w)
+        if lo <= len(grown) <= hi:
+            candidates.append(frozenset(grown))
+    for checked, xs in enumerate(candidates, 1):
+        need = epsilon_of(len(xs), profile) * len(xs)
+        if len(external_neighborhood(g, xs)) < need:
+            return "refuted", checked, xs
+    return "sampled_ok", len(candidates), None
+
+
+def _disjoint_union(a: Graph, b: Graph) -> Graph:
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph(a.n + b.n, list(a.edges()) + shifted)
+
+
+_hosts = st.one_of(
+    st.builds(gnp, st.integers(2, 40), st.floats(0.05, 1.0), st.integers(0, 10**6)),
+    st.builds(
+        lambda n, p, seed: bipartite_half(gnp(n, p, seed))[0],
+        st.integers(2, 40),
+        st.floats(0.3, 1.0),
+        st.integers(0, 10**6),
+    ),
+    st.builds(complete_bipartite, st.integers(1, 30), st.integers(1, 30)),
+    st.builds(complete_graph, st.integers(2, 40)),
+    st.builds(
+        _disjoint_union,
+        st.builds(complete_graph, st.integers(1, 15)),
+        st.builds(complete_bipartite, st.integers(1, 10), st.integers(1, 10)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _hosts,
+    st.floats(0.001, 1.0),
+    st.floats(0.01, 20.0),
+    st.sampled_from([-3, 0, 5, 200]),
+    st.integers(0, 1000),
+)
+def test_sampled_verdict_matches_the_sampling_oracle(g, k_frac, epsilon1, trials, seed):
+    k = k_frac * g.n
+    p = ExpansionProfile(epsilon1, k)
+    assume(max(1, math.ceil(k / 2)) <= g.n // 2)
+    v = verify_expander(g, p, mode="sampled", trials=trials, seed=seed)
+    assert (v.status, v.sets_checked, v.witness) == _sampled_oracle(g, p, trials, seed)
+
+
+def _bridged_pair(block: Graph) -> Graph:
+    """Two copies of `block` joined by one edge between their last vertices."""
+    g = _disjoint_union(block, block)
+    return Graph(g.n, list(g.edges()) + [(block.n - 1, g.n - 1)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        # the bounds are tight on these: one side of the bridge, minus its
+        # endpoint, has a single outside neighbour
+        st.builds(_bridged_pair, st.builds(complete_graph, st.integers(2, 7))),
+        st.builds(
+            _bridged_pair,
+            st.builds(complete_bipartite, st.integers(1, 3), st.integers(1, 3)),
+        ),
+        st.builds(gnp, st.integers(2, 13), st.floats(0.2, 1.0), st.integers(0, 10**6)),
+        st.builds(
+            lambda n, seed: bipartite_half(gnp(n, 0.8, seed))[0],
+            st.integers(2, 13),
+            st.integers(0, 10**6),
+        ),
+        st.builds(complete_bipartite, st.integers(1, 7), st.integers(1, 7)),
+    )
+)
+def test_external_lower_bounds_hold_on_every_set(g):
+    assume(len(g.components()) == 1)
+    sizes = range(1, g.n // 2 + 1)
+    for size, bound in zip(sizes, _external_lower_bounds(g, sizes)):
+        least = min(
+            len(external_neighborhood(g, xs))
+            for xs in combinations(range(g.n), size)
+        )
+        assert bound <= least
+
+
+def test_degree_bound_settles_kmm_without_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the degree bound should settle K_{40,40}")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    v = verify_expander(
+        complete_bipartite(40, 40), ExpansionProfile(1.0, 1.0), mode="sampled"
+    )
+    # sizes 1..40: prefixes at 1, 20 and 40, plus 200 grown sets
+    assert (v.status, v.sets_checked, v.witness) == ("sampled_ok", 203, None)
+
+
+def test_hypercube_falls_back_to_sampling(monkeypatch):
+    seeds = []
+
+    class Spy(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Spy)
+    # min degree 8 cannot cover the need of about 1.3 at |X| = 128
+    v = verify_expander(hypercube(8), ExpansionProfile(1.0, 0.1), mode="sampled")
+    assert seeds == [0]
+    assert (v.status, v.sets_checked, v.witness) == ("sampled_ok", 203, None)
 
 
 def test_sampled_mode_refutes_disconnected():

@@ -100,6 +100,15 @@ def test_induced_relabels_and_keeps_id_table():
     assert sub.has_edge(0, 1)
 
 
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = cycle_graph(5)
+    sub, ids = g.induced([4, 3, 2, 1, 0, 0])
+    assert sub is g and ids == (0, 1, 2, 3, 4)
+    assert g.delete([]) == (g, ids)
+    with pytest.raises(InvalidVertexError):
+        g.induced([0, 1, 2, 3, 4, 5])
+
+
 def test_delete_complements_induced():
     g = cycle_graph(5)
     left, ids = g.delete([0])
