@@ -57,6 +57,10 @@ class Overrides:
     exhaustive_cap: int = EXHAUSTIVE_CAP
     node_budget: int = NODE_BUDGET
 
+    def __post_init__(self) -> None:
+        if self.ell is not None and self.ell < 1:
+            raise InvalidArgumentError("ell must be >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,6 +76,10 @@ class RunConfig:
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
         if self.kappa_rule not in ("sqrt", "linear"):
             raise InvalidArgumentError(f"unknown kappa rule {self.kappa_rule!r}")
+        checked = {"epsilon1": self.epsilon1, "epsilon2": self.resolved_epsilon2()}
+        for name, value in checked.items():
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be finite and > 0")
 
     def resolved_epsilon2(self) -> float:
         if self.epsilon2 is not None:
@@ -234,7 +242,6 @@ def find_balanced_subdivision(
     usage: set[int] = set()
     hub_free = {i: list(range(len(unit.hubs))) for i, unit in enumerate(kept)}
     glued: dict[tuple[int, int], PathWitness] = {}
-    connected: set[tuple[int, int]] = set()
     budget = cfg.overrides.node_budget
     for i, j in combinations(range(len(kept)), 2):
         found = None
@@ -277,7 +284,6 @@ def find_balanced_subdivision(
                 hub_free[i].remove(hi)
                 hub_free[j].remove(hj)
                 glued[(i, j)] = witness
-                connected.add((i, j))
                 found = witness
                 break
         trace.add(f"pair ({i},{j}): " + ("connected" if found else missed))
@@ -285,7 +291,7 @@ def find_balanced_subdivision(
     # Every kept unit is good: each segment was searched with all unit
     # interiors blocked, so no segment runs through a unit's interior.
     clique = _max_clique(
-        list(range(len(kept))), lambda a, b: (min(a, b), max(a, b)) in connected
+        list(range(len(kept))), lambda a, b: (min(a, b), max(a, b)) in glued
     )
     trace.add(f"connection clique size {len(clique)} of {len(kept)} units")
     if len(clique) >= 2:
@@ -301,7 +307,7 @@ def find_balanced_subdivision(
     return BuildFailure(
         "connection_stalled",
         f"no clique of connected units (built {len(kept)}, "
-        f"{len(connected)} pairs joined)",
+        f"{len(glued)} pairs joined)",
         partial=trace,
     )
 

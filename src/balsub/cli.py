@@ -320,6 +320,8 @@ def cmd_expander(args: argparse.Namespace) -> int:
         profile = ExpansionProfile(args.epsilon1, args.k)
         if args.mode == "sampled" and args.seed is None:
             return _fail_usage("sampled mode is randomized; --seed is required")
+        if args.trials < 0:
+            return _fail_usage("--trials must be >= 0")
         verdict = verify_expander(
             g,
             profile,

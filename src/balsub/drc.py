@@ -51,14 +51,11 @@ def drc_feasible(n1: int, n2: int, alpha, p: DrcParams) -> bool:
     return lhs >= p.a
 
 
-def _common_neighbors(g: Graph, vertices: Iterable[int], within: frozenset[int]):
-    out: frozenset[int] | None = None
+def _common_count(masks: tuple[int, ...], vertices: Iterable[int], within: int) -> int:
+    """How many vertices of the bitset `within` neighbour every vertex."""
     for v in vertices:
-        nbrs = frozenset(w for w in g.neighbors(v) if w in within)
-        out = nbrs if out is None else out & nbrs
-        if not out:
-            break
-    return out if out is not None else within
+        within &= masks[v]
+    return within.bit_count()
 
 
 def drc_select(
@@ -82,13 +79,14 @@ def drc_select(
     v2 = g.check_subset(partition[1])
     if v1 & v2:
         raise InvalidArgumentError("partition sides overlap")
-    for side in (v1, v2):
-        for u in side:
-            if any(w in side for w in g.neighbors(u)):
-                raise InvalidArgumentError("an edge runs inside one side")
+    masks = g.neighbor_masks()
+    # the bits of distinct vertices never carry, so each sum is a union
+    m1, m2 = sum(1 << u for u in v1), sum(1 << w for w in v2)
+    if any(masks[u] & m1 for u in v1) or any(masks[u] & m2 for u in v2):
+        raise InvalidArgumentError("an edge runs inside one side")
     if not v2:
         raise InvalidArgumentError("second side is empty")
-    crossing = sum(1 for u in v1 for w in g.neighbors(u) if w in v2)
+    crossing = sum((masks[u] & m2).bit_count() for u in v1)
     alpha = Fraction(crossing, len(v1) * len(v2)) if v1 else Fraction(0)
     if not drc_feasible(len(v1), len(v2), alpha, p):
         raise InvalidArgumentError("parameters are infeasible for this host")
@@ -96,21 +94,15 @@ def drc_select(
     rng = random.Random(seed)
     pool2 = sorted(v2)
     for _ in range(max_retries):
-        sample = [rng.choice(pool2) for _ in range(p.t)]
-        hood = frozenset(set(sample))
-        a_set = sorted(
-            u for u in v1 if all(g.has_edge(u, s) for s in hood)
-        )
+        hood = sum(1 << s for s in {rng.choice(pool2) for _ in range(p.t)})
+        a_set = sorted(u for u in v1 if hood & ~masks[u] == 0)
         deleted: set[int] = set()
         for subset in combinations(a_set, p.r):
-            if any(u in deleted for u in subset):
-                continue
-            commons = _common_neighbors(g, subset, v2)
-            if len(commons) < p.c:
+            if deleted.isdisjoint(subset) and _common_count(masks, subset, m2) < p.c:
                 deleted.add(max(subset))
         a0 = frozenset(u for u in a_set if u not in deleted)
         if len(a0) >= p.a and all(
-            len(_common_neighbors(g, subset, v2)) >= p.c
+            _common_count(masks, subset, m2) >= p.c
             for subset in combinations(sorted(a0), p.r)
         ):
             return a0
@@ -349,9 +341,7 @@ def _drc_reorder(
             continue
         if isinstance(pick, BuildFailure):
             continue
-        front = [v for v in order if v in pick]
-        back = [v for v in order if v not in pick]
-        return front + back
+        return sorted(order, key=lambda v: v not in pick)  # stable: picks first
     return order
 
 

@@ -33,8 +33,8 @@ class ExpansionProfile:
     k: float
 
     def __post_init__(self) -> None:
-        if self.epsilon1 <= 0 or self.k <= 0:
-            raise InvalidArgumentError("profile needs epsilon1 > 0 and k > 0")
+        if not all(math.isfinite(x) and x > 0 for x in (self.epsilon1, self.k)):
+            raise InvalidArgumentError("profile needs finite epsilon1 > 0 and k > 0")
 
 
 def epsilon_of(x: float, profile: ExpansionProfile) -> float:

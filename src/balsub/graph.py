@@ -1,8 +1,9 @@
 """Immutable undirected simple graphs and the degree/subgraph primitives.
 
-Vertex ids are always ``0..n-1``.  Operations that restrict to a vertex
-subset return the new graph together with an id-remapping table so callers
-can lift results back to the host graph.
+Vertex ids are always ``0..n-1``.  A graph keeps one adjacency, which also
+answers every edge question.  Operations that restrict to a vertex subset
+return the new graph together with an id-remapping table so callers can
+lift results back to the host graph.
 """
 
 from __future__ import annotations
@@ -18,32 +19,29 @@ from .outcomes import EmptyGraphError, InvalidArgumentError, InvalidVertexError
 class Graph:
     """Simple undirected graph, immutable once constructed.
 
-    Self-loops are rejected; duplicate edges collapse silently.  Adjacency
-    lists are stored sorted so every traversal in the library is
-    deterministic.
+    Self-loops are rejected; duplicate edges collapse silently.  The one
+    adjacency has two views: sorted neighbour tuples (`_adj`) for ordered,
+    deterministic walks, and bitsets (`neighbor_masks()`, built on first
+    use) for set algebra.  No edge set is kept beside them.
     """
 
-    __slots__ = ("n", "_adj", "_edges", "_masks")
+    __slots__ = ("n", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise InvalidArgumentError("vertex count must be nonnegative")
         self.n = n
-        edge_set: set[tuple[int, int]] = set()
+        adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertexError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise InvalidArgumentError(f"self-loop at {u}")
-            edge_set.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].add(v)
+            adj[v].add(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(nbrs)) for nbrs in adj
         )
-        self._edges: frozenset[tuple[int, int]] = frozenset(edge_set)
         self._masks: tuple[int, ...] | None = None
 
     # -- basic accessors ---------------------------------------------------
@@ -60,13 +58,17 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edges
+        # the range check keeps a negative u from wrapping to another vertex
+        return 0 <= u < self.n and v in self._adj[u]
 
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._edges))
+        """Every edge as (u, v) with u < v, in sorted order."""
+        return tuple(
+            (u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u
+        )
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Each vertex's neighbourhood as a bitmask, built on first use."""
@@ -95,13 +97,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self._edges)})"
+        return f"Graph(n={self.n}, m={self.edge_count()})"
 
     # -- traversal helpers -------------------------------------------------
 
@@ -186,9 +188,10 @@ class Graph:
         ids = tuple(sorted(kept))
         back = {old: new for new, old in enumerate(ids)}
         edges = [
-            (back[u], back[v])
-            for u, v in self._edges
-            if u in back and v in back
+            (new, back[w])
+            for new, u in enumerate(ids)
+            for w in self._adj[u]
+            if w > u and w in back
         ]
         return Graph(len(ids), edges), ids
 
@@ -246,9 +249,7 @@ def core_numbers(g: Graph, alive: Iterable[int]) -> dict[int, int]:
     """
     live = g.check_subset(alive)
     masks = g.neighbor_masks()
-    rest = 0
-    for v in live:
-        rest |= 1 << v
+    rest = sum(1 << v for v in live)  # distinct bits: the sum is the union
     deg = {v: (masks[v] & rest).bit_count() for v in live}
     core: dict[int, int] = {}
     while deg:

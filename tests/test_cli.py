@@ -169,6 +169,23 @@ def test_find_rejects_removed_overrides(capsys, tmp_path):
         assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize(
+    "flag, values",
+    [
+        ("--epsilon1", ["0", "-1", "nan", "inf"]),
+        ("--epsilon2", ["0", "-1", "nan", "inf"]),
+        ("--override-ell", ["0", "-2"]),
+    ],
+)
+def test_find_rejects_bad_run_parameters(capsys, tmp_path, flag, values):
+    path = tmp_path / "k6.txt"
+    path.write_text(to_edge_list(complete_graph(6)))
+    for value in values:
+        code, out, err = run(capsys, ["find", str(path), f"{flag}={value}"])
+        assert (code, out) == (2, ""), value
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_round_trip(capsys, tmp_path):
     host = complete_graph(8)
     gpath = tmp_path / "g.txt"
@@ -261,6 +278,24 @@ def test_expander_sampled_on_an_empty_size_range(capsys, tmp_path):
         assert (body["status"], body["sets_checked"]) == ("certified", 0)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "nan"],
+        ["--k", "inf"],
+        ["--k", "2", "--epsilon1", "nan"],
+        ["--k", "2", "--epsilon1", "inf"],
+        ["--k", "2", "--mode", "sampled", "--seed", "0", "--trials", "-5"],
+    ],
+)
+def test_expander_rejects_bad_parameters(capsys, tmp_path, flags):
+    path = tmp_path / "k6.txt"
+    path.write_text(to_edge_list(complete_graph(6)))
+    code, out, err = run(capsys, ["expander", str(path), *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- gadget -----------------------------------------------------------------------
 
 
@@ -324,6 +359,27 @@ def test_gadget_hub_build_check_round_trip(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_gadget_check_hub_with_ids_outside_the_host(capsys, tmp_path):
+    # centre -1 must not read as vertex 9, whose neighbours are 1, 2, 3
+    gpath = tmp_path / "k10.txt"
+    gpath.write_text(to_edge_list(complete_graph(10)))
+    record = tmp_path / "hub.json"
+    record.write_text(json.dumps({
+        "kind": "hub",
+        "center": -1,
+        "first_layer": [1, 2, 3],
+        "second_layers": [[1, [4, 5]], [2, [6, 7]], [3, [8, 99]]],
+    }))
+    code, out, err = run(
+        capsys,
+        ["gadget", "check", "hub", str(gpath), "--record", str(record)],
+    )
+    assert (code, err) == (1, "")
+    clauses = {c["name"]: c["passed"] for c in json.loads(out)["clauses"]}
+    assert clauses["first_layer_adjacent"] is False
+    assert clauses["second_layer_adjacent"] is False
 
 
 def test_gadget_check_reports_an_anchor_outside_the_host(capsys, tmp_path):

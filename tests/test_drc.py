@@ -4,6 +4,7 @@ The feasibility margin and bisection values below were recomputed
 independently with exact rationals before being frozen here.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -16,6 +17,7 @@ from balsub.certify import SubdivisionCertificate, best_k_at_ell, verify_subdivi
 from balsub.drc import (
     DrcParams,
     RobustDegreeVerdict,
+    _drc_reorder,
     dense_tk2,
     drc_feasible,
     drc_select,
@@ -124,6 +126,9 @@ def test_select_rejects_bad_partitions():
     with pytest.raises(InvalidArgumentError):
         drc_select(kb, ({0, 1, 3}, {3, 4, 5}), p, 0)  # overlap
     with pytest.raises(InvalidArgumentError):
+        # edge inside the second side
+        drc_select(Graph(6, kb.edges() + ((4, 5),)), ({0, 1, 2}, {3, 4, 5}), p, 0)
+    with pytest.raises(InvalidArgumentError):
         drc_select(kb, ({0, 1, 2}, ()), p, 0)  # empty second side
     with pytest.raises(InvalidArgumentError):
         # infeasible demand on this host
@@ -139,6 +144,87 @@ def test_select_ignores_outside_edges():
     p = DrcParams(2, 1, 2, 1)
     a0 = drc_select(g, (frozenset({0, 1, 2}), frozenset({3, 4, 5})), p, 1)
     assert a0 == frozenset({0, 1, 2})
+
+
+def _select_oracle(g, v1, v2, p, seed, max_retries):
+    """drc_select's feasibility gate, sampling and deletion on Python sets,
+    for comparison: "infeasible", None for no selection, or the selection."""
+    crossing = sum(1 for u in v1 for w in g.neighbors(u) if w in v2)
+    if not drc_feasible(len(v1), len(v2), Fraction(crossing, len(v1) * len(v2)), p):
+        return "infeasible"
+    rng = random.Random(seed)
+    pool2 = sorted(v2)
+    for _ in range(max_retries):
+        hood = {rng.choice(pool2) for _ in range(p.t)}
+        a_set = sorted(u for u in v1 if all(g.has_edge(u, s) for s in hood))
+        deleted = set()
+        for subset in combinations(a_set, p.r):
+            if deleted.isdisjoint(subset) and len(_common_in(g, subset, v2)) < p.c:
+                deleted.add(max(subset))
+        a0 = frozenset(a_set) - deleted
+        if len(a0) >= p.a and all(
+            len(_common_in(g, subset, v2)) >= p.c
+            for subset in combinations(sorted(a0), p.r)
+        ):
+            return a0
+    return None
+
+
+def test_select_matches_a_set_oracle():
+    rng = random.Random(5)
+    outcomes = {"selected": 0, "failed": 0, "infeasible": 0}
+    for _ in range(400):
+        # each vertex of the second part gets its own density, so that a
+        # sample can hit an isolated vertex although the average is high
+        n1, n2 = rng.randint(2, 16), rng.randint(1, 10)
+        density = [rng.choice([0.0, 0.7, 1.0, 1.0]) for _ in range(n2)]
+        g = Graph(n1 + n2, [
+            (u, n1 + w) for u in range(n1) for w in range(n2) if rng.random() < density[w]
+        ])
+        v1, v2 = frozenset(range(n1)), frozenset(range(n1, n1 + n2))
+        r = rng.randint(1, 2)
+        p = DrcParams(t=rng.randint(1, 3), r=r, c=rng.randint(1, 3), a=rng.randint(r, r + 2))
+        seed, retries = rng.randrange(1000), rng.choice([1, 3])
+        want = _select_oracle(g, v1, v2, p, seed, retries)
+        if want == "infeasible":
+            with pytest.raises(InvalidArgumentError, match="infeasible"):
+                drc_select(g, (v1, v2), p, seed, max_retries=retries)
+            outcomes["infeasible"] += 1
+            continue
+        got = drc_select(g, (v1, v2), p, seed, max_retries=retries)
+        if want is None:
+            assert isinstance(got, BuildFailure)
+            outcomes["failed"] += 1
+        else:
+            assert got == want
+            outcomes["selected"] += 1
+    assert outcomes["selected"] >= 100 and outcomes["failed"] >= 10, outcomes
+
+
+def test_select_deletes_a_vertex_of_every_bad_pair():
+    # lows 1 and 5 see two of the 21 vertices opposite, so any pair holding
+    # one has 2 < c common neighbours; every sample that reaches a low puts
+    # it in the pool, and the deletions must leave exactly the highs
+    # (feasible: 151/189 * 9 - C(9,2) * 3/21 >= 2)
+    lows = {1: (9, 10), 5: (10, 11)}
+    highs = [u for u in range(9) if u not in lows]
+    edges = [(u, w) for u in highs for w in range(9, 30)]
+    edges += [(u, w) for u, ws in lows.items() for w in ws]
+    g = Graph(30, edges)
+    sides = (frozenset(range(9)), frozenset(range(9, 30)))
+    p = DrcParams(t=1, r=2, c=3, a=2)
+    for seed in range(40):
+        assert drc_select(g, sides, p, seed, max_retries=1) == frozenset(highs), seed
+        assert _select_oracle(g, *sides, p, seed, 1) == frozenset(highs), seed
+
+
+def test_drc_reorder_puts_the_selection_first_keeping_each_part_in_order():
+    # feasible: 6 - C(6,2) * (3/20)^2 >= 3, and every vertex of the first
+    # side is selected on a complete bipartite host
+    g = complete_bipartite(6, 20)
+    order = list(reversed(range(26)))
+    got = _drc_reorder(g, tuple(range(26)), g.two_coloring(), 3, 0, order)
+    assert got == [5, 4, 3, 2, 1, 0] + list(range(25, 5, -1))
 
 
 # -- one-subdivision embedding --------------------------------------------------

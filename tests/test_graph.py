@@ -64,6 +64,64 @@ def test_has_edge_symmetric():
     g = Graph(3, [(0, 2)])
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)
+    # -1 must not wrap around to vertex 2, whose neighbour is 0
+    assert not g.has_edge(-1, 0) and not g.has_edge(0, -1) and not g.has_edge(3, 0)
+
+
+class EdgeSetGraph:
+    """Test-local oracle: a graph kept as a set of (u, v) pairs, u < v."""
+
+    def __init__(self, n, edges):
+        self.n = n
+        self.edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edges
+
+    def induced(self, keep):
+        ids = sorted(set(keep))
+        back = {old: new for new, old in enumerate(ids)}
+        return EdgeSetGraph(
+            len(ids),
+            [(back[u], back[v]) for u, v in self.edges if u in back and v in back],
+        )
+
+
+def _random_edge_list(rng, n):
+    """Edges with repeats, in both orientations, in random order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    listed = []
+    for u, v in pairs:
+        for _ in range(rng.randint(1, 3)):
+            listed.append((u, v) if rng.random() < 0.5 else (v, u))
+    rng.shuffle(listed)
+    return listed
+
+
+@given(st.integers(0, 12), st.integers(0, 10**6))
+def test_graph_matches_an_edge_set_oracle(n, seed):
+    rng = random.Random(seed)
+    listed = _random_edge_list(rng, n)
+    g, oracle = Graph(n, listed), EdgeSetGraph(n, listed)
+    assert g.edges() == tuple(sorted(oracle.edges))
+    assert g.edge_count() == len(oracle.edges)
+    ids = [-1, *range(n), n]
+    for u in ids:
+        for v in ids:
+            assert g.has_edge(u, v) == oracle.has_edge(u, v), (u, v)
+    for _ in range(5):
+        keep = [v for v in range(n) if rng.random() < 0.6]
+        sub, table = g.induced(keep)
+        expect = oracle.induced(keep)
+        assert table == tuple(sorted(keep))
+        assert (sub.n, sub.edges()) == (expect.n, tuple(sorted(expect.edges)))
+    # equality and hashing see the edges, not the order they were listed in
+    same = Graph(n, [(v, u) for u, v in reversed(listed)])
+    assert same == g and hash(same) == hash(g)
+    assert Graph(n + 1, listed) != g
+    if listed:
+        fewer = [e for e in listed if sorted(e) != sorted(listed[0])]
+        assert Graph(n, fewer) != g
 
 
 def test_components_partition_vertices():
