@@ -60,6 +60,15 @@ class Overrides:
     def __post_init__(self) -> None:
         if self.ell is not None and self.ell < 1:
             raise InvalidArgumentError("ell must be >= 1")
+        if self.target_k is not None and self.target_k < 0:
+            raise InvalidArgumentError("target_k must be >= 0")
+        threshold = self.sparse_threshold
+        if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
+            raise InvalidArgumentError("sparse_threshold must be finite and >= 0")
+        if self.exhaustive_cap < 0:
+            raise InvalidArgumentError("exhaustive_cap must be >= 0")
+        if self.node_budget < 0:
+            raise InvalidArgumentError("node_budget must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,17 @@ def _greedy_hub_at(
     g: Graph, inside: int, center: int, h1: int, h2: int, c4_mode: bool
 ) -> Hub | None:
     """First hub at `center` inside the vertex mask `inside`: branches and
-    leaves are the least ids available, as in the sorted adjacency lists."""
+    leaves are the least ids available, as in the sorted adjacency lists.
+
+    Outside `c4_mode`, a failed attempt drops its bad branch from the pool,
+    and every later attempt takes its branches from what is left of it.
+    Their h1*h2 distinct leaves then all lie in the pool's joint
+    neighbourhood inside `inside`, minus the centre, so a joint
+    neighbourhood smaller than that settles the centre as None: exact,
+    since the pool only shrinks.  The count waits for the first failure
+    because most calls succeed at once.  In `c4_mode` leaves may repeat, so
+    every attempt runs and can still raise.
+    """
     masks = g.neighbor_masks()
     pool = masks[center] & inside
     while pool.bit_count() >= h1:
@@ -144,6 +154,12 @@ def _greedy_hub_at(
         if bad is None:
             return Hub(center, tuple(chosen), tuple(layers))
         pool ^= 1 << bad
+        if not c4_mode:
+            reach = 0
+            for z in _low_bits(pool, pool.bit_count()):
+                reach |= masks[z]
+            if (reach & inside & ~(1 << center)).bit_count() < h1 * h2:
+                return None
     return None
 
 
@@ -159,7 +175,18 @@ def build_hub(
     Tries min-degree cores from the largest feasible threshold downward;
     within a core, scans centers in id order and repairs the first layer
     whenever some branch cannot supply h2 private second-layer vertices.
-    Cores are vertex subsets of the host, which is never rebuilt.
+    Cores are vertex subsets of the host, which is never rebuilt: one mask
+    per core number, OR-ed in level by level.
+
+    Outside `c4_mode`, a hub is 1 + h1 + h1*h2 distinct vertices of the
+    core (centre, branches, leaves outside B1), so a core with fewer is
+    skipped without scanning its centres: exact, because no search there
+    can succeed or raise.  Lower levels hold more vertices and are still
+    tried.  In `c4_mode` leaves may repeat across branches, and a search
+    must still raise on a host that has a 4-cycle, so every level is
+    scanned.  `_greedy_hub_at` settles hopeless centres by a second count.
+    Centres are taken lowest id first, one at a time, since most calls
+    succeed at the first.
     """
     if h1 < 1 or h2 < 1:
         raise InvalidArgumentError("need h1 >= 1 and h2 >= 1")
@@ -167,12 +194,19 @@ def build_hub(
     core = core_numbers(g, (v for v in g.vertices() if v not in gone))
     if not core:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
-    for t in sorted(set(core.values()), reverse=True):
-        centers = sorted(v for v, c in core.items() if c >= t)
-        inside = 0
-        for v in centers:
-            inside |= 1 << v
-        for center in centers:
+    levels: dict[int, int] = {}
+    for v, c in core.items():
+        levels[c] = levels.get(c, 0) | 1 << v
+    smallest = 0 if c4_mode else 1 + h1 + h1 * h2
+    inside = 0
+    for t in sorted(levels, reverse=True):
+        inside |= levels[t]
+        if inside.bit_count() < smallest:
+            continue
+        centers = inside
+        while centers:
+            [center] = _low_bits(centers, 1)
+            centers ^= 1 << center
             found = _greedy_hub_at(g, inside, center, h1, h2, c4_mode)
             if found is not None:
                 return found

@@ -4,6 +4,8 @@ Paper-mode constants are frozen from an independent 40-digit recomputation
 (mpmath) of the defining formulas; they are integers, so equality is exact.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -203,6 +205,27 @@ def test_segment_budget_exhaustion_is_traced():
     )
     assert any(e.endswith(": segment budget exhausted") for e in out.trace.entries)
     assert not any(e.endswith(": no segment") for e in out.trace.entries)
+
+
+# sha256 of {"certificate": ..., "entries": ...} (sorted keys) for the
+# unit-route hosts of the benchmark at seed 1: the gadget layer must keep
+# every certificate and trace byte for byte.
+_PINNED_UNIT_ROUTE = {
+    80: "0e89a978f5fcc967c1a535a44392bd44493ac6d435d8a2bd87ef0aeec1100020",
+    100: "c7228b42b000042b46a169cfad316705c1389d9adf8e0be332e9649904f691ba",
+    120: "38fca1f0d8f10caa0f531b7acc3f5a6f0dd12b7ab7f1fed1638ab70d3e27ec07",
+    140: "45c024c27b84e51c97733b5e731bfb21dd0660431e80f9cf9b4cbef388311934",
+    160: "042da691644ab7c364bf71077073d3b3901e8414e464cc8be8cae8fd8401f052",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_UNIT_ROUTE))
+def test_unit_route_certificates_are_pinned(n):
+    out = top_level(complete_graph(n), RunConfig(seed=1, overrides=Overrides(ell=4)))
+    assert out.kind == "certificate"
+    doc = {"certificate": out.certificate.to_json_dict(), "entries": list(out.trace.entries)}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == _PINNED_UNIT_ROUTE[n]
 
 
 # Runs under `python -O`, which strips assert statements: with verification

@@ -8,7 +8,7 @@ the tests (girth oracle, exhaustive path-length enumeration).
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -189,16 +189,35 @@ def oracle_core_numbers(g, alive):
     return core
 
 
-def oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode):
-    """The list-based `_greedy_hub_at` used before the mask version."""
+def oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode, work=None):
+    """The list-based `_greedy_hub_at` used before the mask version.
+
+    Given a `work` Counter, it tallies under "picks" the mask picks of the
+    bounded search: one per branch choice, one per leaf choice and, outside
+    `c4_mode`, one per joint neighbourhood taken after a failed attempt.
+    It counts the centre bound when that neighbourhood (the pool's, inside,
+    minus the centre) has fewer than h1 * h2 vertices.  Outside `c4_mode`
+    the bounded search stops there, so nothing more is tallied, but the
+    list search runs on to show that it finds no hub.  In `c4_mode` it
+    counts a raise past the bound.
+    """
+    tally = Counter() if work is None else work
     pool = [z for z in g.neighbors(center) if z in inside]
+    hopeless = False
+
+    def pick():
+        if not (hopeless and not c4_mode):
+            tally["picks"] += 1
+
     while len(pool) >= h1:
         chosen = pool[:h1]
+        pick()
         b1 = {center, *chosen}
         used = set()
         layers = []
         bad = None
         for z in chosen:
+            pick()
             avail = [
                 s
                 for s in g.neighbors(z)
@@ -209,26 +228,57 @@ def oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode):
                 break
             take = tuple(avail[:h2])
             if c4_mode and used & set(take):
+                if hopeless:
+                    tally["c4_raise_past_centre_bound"] += 1
                 raise InvalidArgumentError("host violates the claimed 4-cycle freedom")
             used |= set(take)
             layers.append((z, take))
         if bad is None:
+            assert not hopeless or c4_mode, "the centre bound settled a hub"
             return Hub(center, tuple(chosen), tuple(layers))
         pool.remove(bad)
+        if not hopeless:
+            if not c4_mode:
+                pick()
+            reach = {s for z in pool for s in g.neighbors(z) if s in inside}
+            hopeless = len(reach - {center}) < h1 * h2
+            if hopeless and not c4_mode:
+                tally["centre_bound"] += 1
     return None
 
 
-def oracle_build_hub(g, avoid, h1, h2, c4_mode):
-    """`build_hub` rebuilt from the two oracles above."""
+def oracle_build_hub(g, avoid, h1, h2, c4_mode, work=None):
+    """`build_hub` rebuilt from the two oracles above.
+
+    Given a `work` Counter, it tallies the centres the bounded search scans
+    (each one mask pick) and the levels the level bound skips (fewer than
+    1 + h1 + h1 * h2 vertices, outside `c4_mode`), and shows that a skipped
+    level holds no hub.  In `c4_mode` it counts a raise inside such a level.
+    """
     gone = frozenset(avoid)
     core = oracle_core_numbers(g, (v for v in g.vertices() if v not in gone))
     if not core:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
     for t in sorted(set(core.values()), reverse=True):
         inside = {v for v, c in core.items() if c >= t}
+        hopeless = work is not None and len(inside) < 1 + h1 + h1 * h2
+        skipped = hopeless and not c4_mode
+        if skipped:
+            work["level_bound"] += 1
         for center in sorted(inside):
-            found = oracle_greedy_hub_at(g, inside, center, h1, h2, c4_mode)
+            if work is not None and not skipped:
+                work["centres"] += 1
+                work["picks"] += 1
+            try:
+                found = oracle_greedy_hub_at(
+                    g, inside, center, h1, h2, c4_mode, None if skipped else work
+                )
+            except InvalidArgumentError:
+                if hopeless:
+                    work["c4_raise_past_level_bound"] += 1
+                raise
             if found is not None:
+                assert not skipped, "the level bound skipped a hub"
                 return found
     return BuildFailure(
         "insufficient_degree",
@@ -243,7 +293,40 @@ def _hub_or_error(build, *args):
         return ("error", str(exc))
 
 
-def test_core_numbers_and_build_hub_match_the_list_oracles():
+def _count_calls(monkeypatch, name, work, key):
+    real = getattr(gadgets, name)
+
+    def counted(*args):
+        work[key] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gadgets, name, counted)
+
+
+def test_core_numbers_and_build_hub_match_the_list_oracles(monkeypatch):
+    """`build_hub` returns what the list oracles return, and does exactly
+    the work left after both counting bounds: as many centre scans and
+    mask picks (`_low_bits` calls) as the oracles tally."""
+    done = Counter()
+    _count_calls(monkeypatch, "_greedy_hub_at", done, "centres")
+    _count_calls(monkeypatch, "_low_bits", done, "picks")
+    fired = Counter()
+
+    def check(g, avoid, h1, h2, c4_mode):
+        done.clear()
+        work = Counter()
+        want = _hub_or_error(oracle_build_hub, g, avoid, h1, h2, c4_mode, work)
+        assert _hub_or_error(build_hub, g, avoid, h1, h2, c4_mode) == want
+        assert done == Counter(centres=work["centres"], picks=work["picks"]), (
+            g,
+            avoid,
+            h1,
+            h2,
+            c4_mode,
+        )
+        fired.update(work)
+        return want
+
     rng = random.Random(8)
     hosts = []
     for trial in range(200):
@@ -261,11 +344,36 @@ def test_core_numbers_and_build_hub_match_the_list_oracles():
             assert core_numbers(g, alive) == oracle_core_numbers(g, alive)
             h1, h2 = rng.randint(1, 4), rng.randint(1, 4)
             c4_mode = rng.random() < 0.5
-            want = _hub_or_error(oracle_build_hub, g, avoid, h1, h2, c4_mode)
-            assert _hub_or_error(build_hub, g, avoid, h1, h2, c4_mode) == want
+            want = check(g, avoid, h1, h2, c4_mode)
             outcomes.add("error" if isinstance(want, tuple) else type(want).__name__)
     assert len(hosts) == 491
     assert outcomes == {"Hub", "BuildFailure", "error"}
+
+    # the shapes `_place_hubs` asks for: hub after hub on one host, each
+    # avoiding all earlier ones, with h1 up to 16 and h2 up to 3
+    placed = Counter()
+    grown = [complete_graph(n) for n in range(2, 41, 3)]
+    grown += [complete_bipartite(a, b) for a in (1, 3, 8, 17) for b in (2, 9, 20)]
+    grown += [bipartite_half(g)[0] for g in grown]
+    for g in grown:
+        for c4_mode in (False, True):
+            h1, h2 = rng.randint(1, 16), rng.randint(1, 3)
+            avoid = set()
+            while True:
+                hub = check(g, avoid, h1, h2, c4_mode)
+                if not isinstance(hub, Hub):
+                    placed["error" if isinstance(hub, tuple) else "failure"] += 1
+                    break
+                placed["hub"] += 1
+                avoid |= hub.all_vertices()
+    assert min(placed.values()) > 0 and len(placed) == 3, placed
+    bounds = (
+        "level_bound",
+        "centre_bound",
+        "c4_raise_past_level_bound",
+        "c4_raise_past_centre_bound",
+    )
+    assert all(fired[name] > 0 for name in bounds), fired
 
 
 # -- expansions ---------------------------------------------------------------
