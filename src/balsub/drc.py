@@ -379,57 +379,3 @@ def kst_degree_bound(nA: int, nB: int, s: int, t: int) -> Fraction:
         else:
             lo = mid
     return lo
-
-
-# -- robust degree dichotomy ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RobustDegreeVerdict:
-    kind: str  # "degree_ok" | "found_tk2"
-    average: Fraction
-    threshold: Fraction
-    certificate: SubdivisionCertificate | None = None
-
-
-def robust_degree_or_tk2(
-    g: Graph,
-    w: Iterable[int],
-    d,
-    kappa: int,
-    seed: int = 0,
-) -> RobustDegreeVerdict | BuildFailure:
-    """Either G - W keeps half the average degree, or the crossing graph
-    between V(G)-W and W yields a TK_kappa^(2); otherwise a Failure
-    carrying both facts."""
-    w_set = g.check_subset(w)
-    rest = [v for v in g.vertices() if v not in w_set]
-    threshold = Fraction(d) / 2
-    if rest:
-        degsum = sum(1 for v in rest for u in g._adj[v] if u not in w_set)
-        average = Fraction(degsum, len(rest))
-    else:
-        average = Fraction(0)
-    if average >= threshold:
-        return RobustDegreeVerdict("degree_ok", average, threshold)
-
-    # crossing-graph ids: G - W first, then W, each in host order
-    ids = rest + sorted(w_set)
-    index = {v: i for i, v in enumerate(ids)}
-    crossing_edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if (u in w_set) != (v in w_set)
-    ]
-    crossing = Graph(len(index), crossing_edges)
-    attempt = dense_tk2(crossing, kappa, seed)
-    if isinstance(attempt, BuildFailure):
-        return BuildFailure(
-            "no_robust_structure",
-            f"average degree {average} < {threshold} and crossing graph "
-            f"gave no TK_{kappa}: {attempt.reason}",
-            partial=(average, attempt),
-        )
-    lifted = attempt.relabel(ids)
-    require_verified(g, lifted)
-    return RobustDegreeVerdict("found_tk2", average, threshold, lifted)

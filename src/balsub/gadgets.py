@@ -4,7 +4,7 @@ These are the building blocks assembled into balanced subdivisions.  Every
 gadget has a builder returning the record or a BuildFailure, and a
 validator that recomputes each definitional clause from raw adjacency.
 
-Distances (growing, checking and trimming an expansion) come from
+Distances (growing and checking an expansion) come from
 `Graph.bfs_distances`, and shortest paths (spokes, bridges, arms, and the
 tail inside an expansion) from `connect.short_connect` and
 `connect.path_within`.  `_shortest_cycle` keeps its own BFS.
@@ -276,23 +276,6 @@ def grow_expansion(
             f"radius {cap} of {anchor}",
         )
     return Expansion(anchor, frozenset(picked), dist[picked[-1]])
-
-
-def trim_expansion(g: Graph, f: Expansion, d_target: int) -> Expansion:
-    """Shrink an expansion to exactly d_target vertices by truncating its
-    BFS tree leaf-first; the radius never grows."""
-    if d_target < 1 or d_target > len(f.vertices):
-        raise InvalidArgumentError(
-            f"target size {d_target} outside 1..{len(f.vertices)}"
-        )
-    dist = g.bfs_distances([f.anchor], frozenset(g.vertices()) - f.vertices)
-    if len(dist) < d_target:
-        raise InvalidArgumentError(
-            "expansion is not internally connected; cannot trim"
-        )
-    # (depth, vertex) in BFS layer order, so the last one kept is deepest
-    kept = sorted((d, v) for v, d in dist.items())[:d_target]
-    return Expansion(f.anchor, frozenset(v for _, v in kept), min(kept[-1][0], f.radius))
 
 
 # -- units ---------------------------------------------------------------------

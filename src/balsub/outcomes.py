@@ -47,10 +47,6 @@ class BuildFailure:
         return False
 
 
-def failed(result: Any) -> bool:
-    return isinstance(result, BuildFailure)
-
-
 @dataclass(frozen=True)
 class Clause:
     """One named check inside a validation report."""

@@ -3,39 +3,22 @@
 `exact_paths` is the one exact-length path search: iterative, depth first
 in ascending id order, pruned by a distance bound, a parity cut and a memo
 of dead states, under a node budget callers can share.  It serves the
-single-path searches, the length menu and the two windowed connectors here,
-and the brute-force oracle in `certify`.  The connectors join a single
-endpoint to a target set by the first in-window length the search finds,
-and a pair of target sets by a shortest leg through one expansion plus a
-windowed leg from the other.
+single-path searches and the length menu here, and the brute-force oracle
+in `certify`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .connect import PathWitness, path_within, short_connect
+from .connect import PathWitness
 from .graph import Graph
-from .outcomes import BuildFailure, InvalidArgumentError, SearchBudgetExceeded, TooLargeError
+from .outcomes import InvalidArgumentError, SearchBudgetExceeded, TooLargeError
 
 MENU_CAP = 24
 REALIZE_CAP = 26
 _SEARCH_BUDGET = 400_000
-
-
-@dataclass(frozen=True)
-class LengthWindow:
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo < 1 or self.hi < self.lo:
-            raise InvalidArgumentError("need 1 <= lo <= hi")
-
-    def __contains__(self, length: int) -> bool:
-        return self.lo <= length <= self.hi
 
 
 def exact_paths(
@@ -204,127 +187,3 @@ def _check_endpoints(
     if len(region) > cap:
         raise TooLargeError(f"region has {len(region)} vertices, cap {cap}")
     return center_set
-
-
-def _expansion_vertices(f) -> frozenset[int]:
-    verts = getattr(f, "vertices", f)
-    return frozenset(verts)
-
-
-def connect_with_length(
-    g: Graph,
-    v: int,
-    f,
-    u: Iterable[int],
-    avoid: Iterable[int] = (),
-    window: LengthWindow = LengthWindow(1, 1),
-) -> PathWitness | BuildFailure:
-    """Path from v into the set U whose length lands in `window`.
-
-    Tries each length of the window in ascending order with an exact-length
-    search whose interior avoids both `avoid` and U, and returns the first
-    path found.  Fails with "search_budget_exhausted" when no length
-    succeeded and some length ran out of budget undecided, and with
-    "window_unreachable" when every length was refuted.
-    """
-    u_set = g.check_subset(u)
-    avoid_set = g.check_subset(avoid)
-    g.check_vertex(v)
-    f_verts = g.check_subset(_expansion_vertices(f))
-    if v not in f_verts:
-        raise InvalidArgumentError("v must anchor its expansion")
-    if v in u_set or v in avoid_set:
-        raise InvalidArgumentError("v cannot lie in U or the avoid set")
-    if u_set & avoid_set or f_verts & avoid_set or f_verts & u_set:
-        raise InvalidArgumentError("U, the expansion, and avoid must be disjoint")
-
-    allowed = frozenset(g.vertices()) - avoid_set - u_set - {v}
-    undecided = []
-    for target in range(window.lo, window.hi + 1):
-        try:
-            found = next(exact_paths(g, v, u_set, target, allowed, [0], _SEARCH_BUDGET), None)
-        except SearchBudgetExceeded:
-            undecided.append(target)
-            continue
-        if found is not None:
-            return PathWitness(found)
-    detail = (
-        f"no path from {v} into the target set with length in "
-        f"[{window.lo}, {window.hi}]"
-    )
-    if undecided:
-        return BuildFailure(
-            "search_budget_exhausted",
-            f"{detail}; search budget exhausted at lengths {undecided}",
-        )
-    return BuildFailure("window_unreachable", detail)
-
-
-def connect_pair_with_length(
-    g: Graph,
-    u1: Iterable[int],
-    u2: Iterable[int],
-    f3,
-    f4,
-    avoid: Iterable[int] = (),
-    window: LengthWindow = LengthWindow(2, 2),
-) -> tuple[PathWitness, PathWitness] | BuildFailure:
-    """Two disjoint paths: a short one from one target set to the nearer
-    expansion's core, then a windowed one joining the remaining pair, so
-    the total length lands in `window`."""
-    u1_set = g.check_subset(u1)
-    u2_set = g.check_subset(u2)
-    avoid_set = g.check_subset(avoid)
-    f3_verts = g.check_subset(_expansion_vertices(f3))
-    f4_verts = g.check_subset(_expansion_vertices(f4))
-    anchor3 = getattr(f3, "anchor", min(f3_verts))
-    anchor4 = getattr(f4, "anchor", min(f4_verts))
-    groups = [u1_set, u2_set, f3_verts, f4_verts]
-    for i, x in enumerate(groups):
-        for y in groups[i + 1:]:
-            if x & y:
-                raise InvalidArgumentError("endpoint sets and expansions must be pairwise disjoint")
-        if x & avoid_set:
-            raise InvalidArgumentError("avoid set overlaps an endpoint set")
-
-    first = short_connect(
-        g, sorted(u1_set | u2_set), sorted(f3_verts | f4_verts), avoid_set
-    )
-    if first is None:
-        return BuildFailure("window_unreachable", "target sets cannot reach the expansions")
-    hit_end = first.vertices[-1]
-    if hit_end in f3_verts:
-        touched, touched_anchor = f3_verts, anchor3
-        spare, spare_anchor = f4_verts, anchor4
-    else:
-        touched, touched_anchor = f4_verts, anchor4
-        spare, spare_anchor = f3_verts, anchor3
-    used_u = u1_set if first.vertices[0] in u1_set else u2_set
-    other_u = u2_set if used_u is u1_set else u1_set
-
-    tail = path_within(g, touched, hit_end, touched_anchor)
-    if tail is None:
-        return BuildFailure("window_unreachable", "touched expansion is not internally connected")
-    p_short = PathWitness(tuple(list(first.vertices) + tail[1:]))
-    if p_short.length >= window.hi:
-        return BuildFailure(
-            "window_unreachable",
-            f"short leg already uses {p_short.length} of the window",
-        )
-
-    residual = LengthWindow(
-        max(1, window.lo - p_short.length), window.hi - p_short.length
-    )
-    second = connect_with_length(
-        g,
-        spare_anchor,
-        spare,
-        sorted(other_u),
-        avoid_set | set(p_short.vertices),
-        residual,
-    )
-    if isinstance(second, BuildFailure):
-        return BuildFailure(second.reason, f"long leg failed: {second.detail}")
-    # the residual window puts the combined length inside `window`
-    # orient both with the target-set endpoint first and the core last
-    return p_short, second.reversed()

@@ -365,6 +365,47 @@ def test_gadget_hub_build_check_round_trip(capsys, tmp_path):
     assert json.loads(out)["passed"] is False
 
 
+def test_gadget_unit_build_check_round_trip(capsys, tmp_path):
+    gpath = tmp_path / "k40.txt"
+    gpath.write_text(to_edge_list(complete_graph(40)))
+    code, out, _ = run(
+        capsys,
+        ["gadget", "build", "unit", str(gpath),
+         "--h0", "2", "--h1", "2", "--h2", "1", "--h3", "4"],
+    )
+    assert code == 0
+    body = json.loads(out)
+    assert body["report"]["passed"] is True
+    record = tmp_path / "unit.json"
+
+    def check(unit):
+        record.write_text(json.dumps(unit))
+        return run(
+            capsys,
+            ["gadget", "check", "unit", str(gpath), "--record", str(record)],
+        )
+
+    code, out, _ = check(body)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+    # a spoke that no longer ends at its hub's centre
+    moved = json.loads(json.dumps(body))
+    moved["spokes"][0][-1] = 99
+    code, out, _ = check(moved)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+    # a spoke that repeats a vertex is not a path at all
+    looped = json.loads(json.dumps(body))
+    spoke = looped["spokes"][0]
+    looped["spokes"][0] = spoke + [spoke[0]]
+    code, out, err = check(looped)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed unit record")
+    assert "Traceback" not in err
+
+
 def test_gadget_check_hub_with_ids_outside_the_host(capsys, tmp_path):
     # centre -1 must not read as vertex 9, whose neighbours are 1, 2, 3
     gpath = tmp_path / "k10.txt"

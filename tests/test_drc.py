@@ -16,13 +16,11 @@ from hypothesis import strategies as st
 from balsub.certify import SubdivisionCertificate, best_k_at_ell, verify_subdivision
 from balsub.drc import (
     DrcParams,
-    RobustDegreeVerdict,
     _drc_reorder,
     dense_tk2,
     drc_feasible,
     drc_select,
     kst_degree_bound,
-    robust_degree_or_tk2,
 )
 from balsub.generators import (
     bipartite_gnp,
@@ -422,43 +420,3 @@ def test_degree_bound_monotone(na, nb, s, t):
     assert kst_degree_bound(na, nb + 1, s, t) >= base - Fraction(1, 10**8)
     # more rows on the free side only tightens the bound
     assert kst_degree_bound(na + 1, nb, s, t) <= base + Fraction(1, 10**8)
-
-
-# -- robust degree dichotomy -----------------------------------------------------
-
-
-def test_robust_degree_keeps_average():
-    v = robust_degree_or_tk2(complete_graph(20), range(5), 10, 3)
-    assert isinstance(v, RobustDegreeVerdict)
-    assert v.kind == "degree_ok"
-    assert v.average == Fraction(14)
-    assert v.threshold == Fraction(5)
-    assert v.certificate is None
-
-
-def test_robust_degree_empty_w():
-    v = robust_degree_or_tk2(complete_graph(6), (), 5, 2)
-    assert v.kind == "degree_ok"
-    assert v.average == Fraction(5)
-
-
-def test_robust_degree_falls_back_to_crossing_graph():
-    g = complete_bipartite(10, 10)
-    # deleting one side leaves an edgeless rest, but the crossing graph
-    # is the whole host and hosts a TK_3^(2)
-    v = robust_degree_or_tk2(g, range(10, 20), 18, 3)
-    assert isinstance(v, RobustDegreeVerdict)
-    assert v.kind == "found_tk2"
-    assert v.average == Fraction(0)
-    assert v.certificate is not None
-    assert verify_subdivision(g, v.certificate).passed
-    assert len(v.certificate.branch) == 3
-
-
-def test_robust_degree_total_failure():
-    out = robust_degree_or_tk2(path_graph(4), range(4), 1, 2)
-    assert isinstance(out, BuildFailure)
-    assert out.reason == "no_robust_structure"
-    average, attempt = out.partial
-    assert average == Fraction(0)
-    assert isinstance(attempt, BuildFailure)

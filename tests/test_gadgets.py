@@ -6,7 +6,6 @@ by hand on small hosts and cross-checked with independent searches inside
 the tests (girth oracle, exhaustive path-length enumeration).
 """
 
-import math
 import random
 from collections import Counter, deque
 
@@ -28,7 +27,6 @@ from balsub.gadgets import (
     build_unit,
     grow_expansion,
     link_adjusters,
-    trim_expansion,
     validate_adjuster,
     validate_expansion,
     validate_hub,
@@ -423,36 +421,6 @@ def test_grow_expansion_collision():
     assert grow_expansion(path_graph(10), 0, 3, (), depth_cap=2).radius == 2
 
 
-def test_trim_expansion_star():
-    g = complete_bipartite(1, 9)  # center 0, leaves 1..9
-    f = grow_expansion(g, 0, 10, ())
-    assert f.vertices == frozenset(range(10)) and f.radius == 1
-    t = trim_expansion(g, f, 5)
-    # anchor first, then the lowest-id leaves
-    assert t.vertices == frozenset({0, 1, 2, 3, 4})
-    assert t.radius == 1
-    single = trim_expansion(g, f, 1)
-    assert single.vertices == frozenset({0}) and single.radius == 0
-    with pytest.raises(InvalidArgumentError):
-        trim_expansion(g, f, 0)
-    with pytest.raises(InvalidArgumentError):
-        trim_expansion(g, f, 11)
-
-
-def test_trim_expansion_never_grows_radius():
-    for seed in range(12):
-        g = gnp(14, 0.3, seed)
-        f = grow_expansion(g, 0, 6, ())
-        if isinstance(f, BuildFailure):
-            continue
-        for target in range(1, f.size + 1):
-            t = trim_expansion(g, f, target)
-            assert t.size == target
-            assert t.radius <= f.radius
-            assert t.anchor == f.anchor
-            assert validate_expansion(g, t, size=target).passed
-
-
 def test_validate_expansion_rejects():
     g = path_graph(6)
     # 5 is not reachable from 0 inside {0, 5}
@@ -531,19 +499,6 @@ def oracle_grow(g, anchor, size, blocked, cap):
     return (frozenset(picked), radius) if len(picked) == size else None
 
 
-def oracle_trim(g, f, d_target):
-    dist = oracle_distances_within(g, f.vertices, f.anchor)
-    order = [
-        (dist[v], v)
-        for v in sorted(f.vertices, key=lambda v: (dist.get(v, math.inf), v))
-        if v in dist
-    ]
-    if len(order) < d_target:
-        return None
-    kept = order[:d_target]
-    return frozenset(v for _, v in kept), min(max(d for d, _ in kept), f.radius)
-
-
 def test_expansion_traversals_match_the_old_private_bfs():
     rng = random.Random(7)
     compared = long_paths = 0
@@ -576,20 +531,11 @@ def test_expansion_traversals_match_the_old_private_bfs():
             assert clause_map(validate_expansion(host, f))["radius_respected"] == (
                 anchor in region and within
             )
-            if region:
-                target = rng.randint(1, len(region))
-                want_trim = oracle_trim(host, f, target)
-                if want_trim is None:
-                    with pytest.raises(InvalidArgumentError):
-                        trim_expansion(host, f, target)
-                else:
-                    t = trim_expansion(host, f, target)
-                    assert (t.vertices, t.radius) == want_trim
-                if anchor in region:
-                    b = rng.choice(sorted(region))
-                    got = path_within(host, region, anchor, b)
-                    assert got == oracle_expansion_path(host, f, b)
-                    long_paths += got is not None and len(got) > 2
+            if anchor in region:
+                b = rng.choice(sorted(region))
+                got = path_within(host, region, anchor, b)
+                assert got == oracle_expansion_path(host, f, b)
+                long_paths += got is not None and len(got) > 2
             compared += 1
     assert compared == 1500
     assert long_paths >= 100

@@ -1,11 +1,13 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import balsub
 
 PACKAGE = Path(balsub.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -68,17 +70,22 @@ def private_definitions(source: str) -> dict[str, int]:
     return defined
 
 
-def names_read(source: str) -> set[str]:
-    """Every name a module reads: loaded names, names inside annotations,
-    attributes and names it imports from other modules."""
-    tree = ast.parse(source)
-    used = _loaded_names(tree)
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Attributes the tree reads and names it imports from other modules."""
+    used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used |= {alias.name for alias in node.names}
     return used
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads: loaded names, names inside annotations,
+    attributes and names it imports from other modules."""
+    tree = ast.parse(source)
+    return _loaded_names(tree) | _referenced_names(tree)
 
 
 def unread_privates(sources: dict[str, str]) -> list[str]:
@@ -89,6 +96,32 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
         for module, source in sources.items()
         for name, line in private_definitions(source).items()
         if name not in read
+    ]
+
+
+def exported_modules(init_source: str) -> dict[str, str]:
+    """Each name a package's `__init__.py` imports from a sibling module,
+    with the file name of that module."""
+    return {
+        alias.asname or alias.name: f"{stmt.module}.py"
+        for stmt in ast.parse(init_source).body
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+        for alias in stmt.names
+    }
+
+
+def unread_exports(exports: dict[str, str | None], sources: dict[str, str]) -> list[str]:
+    """Exported names, each mapped to the source that defines it, that no
+    source reads.  Anywhere, importing a name or reading it as an attribute
+    reads it; a plain name reads it only in its defining source, since
+    elsewhere the same name is some other binding."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    return [
+        name
+        for name, home in exports.items()
+        if name not in referenced
+        and not (home in trees and name in _loaded_names(trees[home]))
     ]
 
 
@@ -127,3 +160,30 @@ def test_every_private_name_is_read_somewhere_in_the_package():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert unread_privates(sources) == []
+
+
+def test_unread_exports_are_flagged():
+    init = "from .a import kept, lost, own\nfrom .b import attr\n"
+    sources = {
+        "a.py": "def kept():\n    pass\ndef lost():\n    pass\ndef own():\n    pass\nown()\n",
+        # b.py binds and reads a `lost` of its own, which is not a.py's
+        "b.py": "attr = 1\nlost = 2\nprint(lost)\n",
+        "tests/t.py": "import pkg\nfrom pkg import kept\npkg.attr\n",
+    }
+    modules = exported_modules(init)
+    assert modules == {"kept": "a.py", "lost": "a.py", "own": "a.py", "attr": "b.py"}
+    exports = {**modules, "stray": None}
+    assert unread_exports(exports, sources) == ["lost", "stray"]
+
+
+def test_every_export_is_listed_once_resolves_and_is_read():
+    names = balsub.__all__
+    assert [name for name, count in Counter(names).items() if count > 1] == []
+    assert [name for name in names if not hasattr(balsub, name)] == []
+    modules = exported_modules((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    for folder in ("demos", "perfbench", "tests"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            sources[f"{folder}/{path.name}"] = path.read_text(encoding="utf-8")
+    assert unread_exports({name: modules.get(name) for name in names}, sources) == []
