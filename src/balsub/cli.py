@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .assemble import Overrides, PipelineOutcome, RunConfig, top_level
 from .certify import SubdivisionCertificate, verify_subdivision
@@ -23,7 +23,6 @@ from .gadgets import (
     Expansion,
     Hub,
     Unit,
-    adjuster_length_menu,
     build_hub,
     build_simple_adjuster,
     build_unit,
@@ -51,7 +50,6 @@ from .outcomes import (
     TooLargeError,
     ValidationReport,
 )
-from .router import MENU_CAP
 
 
 def _round9(x: float) -> float:
@@ -169,7 +167,7 @@ def _expansion_from_dict(data: dict) -> Expansion:
         raise InvalidArgumentError(f"malformed expansion record: {exc}") from exc
 
 
-def _adjuster_dict(adj: Adjuster, menu: Iterable[int]) -> dict:
+def _adjuster_dict(adj: Adjuster) -> dict:
     return {
         "kind": "adjuster",
         "core1": adj.core1,
@@ -180,7 +178,7 @@ def _adjuster_dict(adj: Adjuster, menu: Iterable[int]) -> dict:
         "base_length": adj.base_length,
         "steps": adj.steps,
         "m": adj.m,
-        "menu": sorted(menu),
+        "menu": list(adj.menu()),
     }
 
 
@@ -365,9 +363,8 @@ def _gadget_flags(args: argparse.Namespace) -> dict:
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
-    path = args.graph if args.graph is not None else (args.input_path or "-")
     try:
-        g = _read_graph(path)
+        g = _read_graph(args.graph)
         avoid = _parse_avoid(args.avoid)
     except (InvalidArgumentError, InvalidVertexError, OSError) as exc:
         return _fail_usage(str(exc))
@@ -376,7 +373,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         if args.action == "build":
             return _gadget_build(g, args, avoid, flags)
         return _gadget_check(g, args, flags)
-    except (InvalidArgumentError, InvalidVertexError, TooLargeError) as exc:
+    except (InvalidArgumentError, InvalidVertexError) as exc:
         return _fail_usage(str(exc))
 
 
@@ -407,8 +404,7 @@ def _gadget_build(
             return _fail_usage("adjuster build needs --size and --m")
         result = build_simple_adjuster(g, avoid, args.size, args.m, c4_mode=args.c4)
         if isinstance(result, Adjuster):
-            menu = _resolved_menu(g, result)
-            body = _adjuster_dict(result, menu)
+            body = _adjuster_dict(result)
             report = validate_adjuster(g, result)
         else:
             return _emit_build_failure(result, flags)
@@ -418,15 +414,6 @@ def _gadget_build(
     body["flags"] = flags
     _print_json(body)
     return 0 if report.passed else 1
-
-
-def _resolved_menu(g: Graph, adj: Adjuster) -> tuple[int, ...]:
-    """Realizable menu when the center is small enough to enumerate;
-    otherwise the claimed arithmetic progression."""
-    if len(adj.center) + 2 <= MENU_CAP:
-        realizable = adjuster_length_menu(g, adj)
-        return tuple(sorted(set(adj.menu()) & realizable))
-    return adj.menu()
 
 
 def _emit_build_failure(failure: BuildFailure, flags: dict) -> int:
@@ -477,6 +464,8 @@ def cmd_drc(args: argparse.Namespace) -> int:
             return _fail_usage("host is not bipartite; pass --n1 to split sides")
         side1 = frozenset(v for v in g.vertices() if coloring[v] == 0)
         side2 = frozenset(v for v in g.vertices() if coloring[v] == 1)
+    if args.max_retries < 0:
+        return _fail_usage("--max-retries must be >= 0")
     flags = {
         "t": args.t,
         "r": args.r,
@@ -555,13 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gad = sub.add_parser("gadget", help="build or check a structural gadget")
     p_gad.add_argument("action", choices=("build", "check"))
     p_gad.add_argument("kind", choices=("hub", "unit", "adjuster"))
-    p_gad.add_argument("graph", nargs="?", default=None)
-    p_gad.add_argument(
-        "--input",
-        dest="input_path",
-        default=None,
-        help="graph file (alternative to the positional; default stdin)",
-    )
+    p_gad.add_argument("graph", nargs="?", default="-")
     p_gad.add_argument("--h0", type=int, default=None)
     p_gad.add_argument("--h1", type=int, default=None)
     p_gad.add_argument("--h2", type=int, default=None)

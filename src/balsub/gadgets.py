@@ -26,7 +26,7 @@ from .outcomes import (
     SearchBudgetExceeded,
     ValidationReport,
 )
-from .router import MENU_CAP, REALIZE_CAP, realize_exact_length, simple_path_lengths
+from . import router
 
 
 # -- hubs --------------------------------------------------------------------
@@ -569,17 +569,18 @@ class Adjuster:
         return self.center | self.end1.vertices | self.end2.vertices
 
 
-def validate_adjuster(
-    g: Graph,
-    adj: Adjuster,
-    realize_cap: int = REALIZE_CAP,
-) -> ValidationReport:
+# the largest region G[A + cores], in vertices, whose menu is checked
+_MENU_CHECK_CAP = 26
+
+
+def validate_adjuster(g: Graph, adj: Adjuster) -> ValidationReport:
     """Recheck the four adjuster clauses.
 
-    The length menu is verified by exhaustive search; centers above the
-    cap get the distinct clause name a4_menu_deferred instead of a fake
-    pass, and lengths the search leaves undecided within its node budget
-    fail a4_menu and are named in its detail."""
+    Each menu length is verified by `router.exact_path_in_region` inside
+    G[A + cores]; regions above `_MENU_CHECK_CAP` vertices get the distinct
+    clause name a4_menu_deferred instead of a fake pass, and lengths the
+    search leaves undecided within its node budget fail a4_menu and are
+    named in its detail."""
     clauses: list[Clause] = []
     parts = [adj.center, adj.end1.vertices, adj.end2.vertices]
     disjoint = (
@@ -607,20 +608,22 @@ def validate_adjuster(
     if adj.steps < 0 or adj.base_length < 1:
         clauses.append(Clause("a4_menu", False, "need steps >= 0 and base >= 1"))
         return ValidationReport(tuple(clauses))
-    if len(adj.center) + 2 > realize_cap:
+    if len(adj.center) + 2 > _MENU_CHECK_CAP:
         clauses.append(
             Clause(
                 "a4_menu_deferred",
                 True,
-                f"center of {len(adj.center)} vertices exceeds cap {realize_cap}",
+                f"center of {len(adj.center)} vertices exceeds cap {_MENU_CHECK_CAP}",
             )
         )
         return ValidationReport(tuple(clauses))
     missing, undecided = [], []
     for want in adj.menu():
         try:
-            if realize_exact_length(
-                g, adj.center, adj.core1, adj.core2, want, cap=realize_cap
+            # the budget is read at call time, so a patched
+            # router._SEARCH_BUDGET takes effect
+            if router.exact_path_in_region(
+                g, adj.center, adj.core1, (adj.core2,), want, router._SEARCH_BUDGET
             ) is None:
                 missing.append(want)
         except SearchBudgetExceeded:
@@ -632,13 +635,6 @@ def validate_adjuster(
         problems.append(f"undecided lengths (search budget exhausted): {undecided}")
     clauses.append(Clause("a4_menu", not problems, "; ".join(problems)))
     return ValidationReport(tuple(clauses))
-
-
-def adjuster_length_menu(
-    g: Graph, adj: Adjuster, cap: int = MENU_CAP
-) -> frozenset[int]:
-    """Every realizable core-to-core path length inside G[A + cores]."""
-    return simple_path_lengths(g, adj.center, adj.core1, adj.core2, cap=cap)
 
 
 def _shortest_cycle(g: Graph) -> list[int] | None:

@@ -3,21 +3,17 @@
 `exact_paths` is the one exact-length path search: iterative, depth first
 in ascending id order, pruned by a distance bound, a parity cut and a memo
 of dead states, under a node budget callers can share.  It serves the
-single-path searches and the length menu here, and the brute-force oracle
-in `certify`.
+brute-force oracle in `certify`, and through `exact_path_in_region` the
+assembly's segments and the adjuster menu check in `gadgets`.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
-from .connect import PathWitness
 from .graph import Graph
-from .outcomes import InvalidArgumentError, SearchBudgetExceeded, TooLargeError
+from .outcomes import InvalidArgumentError, SearchBudgetExceeded
 
-MENU_CAP = 24
-REALIZE_CAP = 26
 _SEARCH_BUDGET = 400_000
 
 
@@ -135,55 +131,3 @@ def exact_path_in_region(
     inner = allowed_set - target_set - {start}
     found = next(exact_paths(g, start, target_set, length, inner, [0], budget), None)
     return None if found is None else list(found)
-
-
-def realize_exact_length(
-    g: Graph,
-    center: Iterable[int],
-    v1: int,
-    v2: int,
-    target: int,
-    cap: int = REALIZE_CAP,
-) -> PathWitness | None:
-    """Search G[center + {v1, v2}] for a v1,v2-path of exactly `target`
-    edges.  Refuses regions above `cap` vertices.  None means no such path
-    exists; SearchBudgetExceeded means the search could not decide."""
-    center_set = _check_endpoints(g, center, v1, v2, cap)
-    if target < 1:
-        raise InvalidArgumentError("target length must be >= 1")
-    found = next(
-        exact_paths(g, v1, frozenset({v2}), target, center_set, [0], _SEARCH_BUDGET),
-        None,
-    )
-    return None if found is None else PathWitness(found)
-
-
-def simple_path_lengths(
-    g: Graph,
-    center: Iterable[int],
-    v1: int,
-    v2: int,
-    cap: int = MENU_CAP,
-) -> frozenset[int]:
-    """All lengths of simple v1,v2-paths inside G[center + {v1, v2}]."""
-    center_set = _check_endpoints(g, center, v1, v2, cap)
-    return frozenset(
-        length
-        for length in range(1, len(center_set | {v1, v2}))
-        if next(exact_paths(g, v1, frozenset({v2}), length, center_set, [0], math.inf), None)
-        is not None
-    )
-
-
-def _check_endpoints(
-    g: Graph, center: Iterable[int], v1: int, v2: int, cap: int
-) -> frozenset[int]:
-    center_set = g.check_subset(center)
-    g.check_vertex(v1)
-    g.check_vertex(v2)
-    if v1 == v2:
-        raise InvalidArgumentError("endpoints must differ")
-    region = center_set | {v1, v2}
-    if len(region) > cap:
-        raise TooLargeError(f"region has {len(region)} vertices, cap {cap}")
-    return center_set

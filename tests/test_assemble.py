@@ -16,7 +16,6 @@ import pytest
 import balsub
 from balsub.assemble import (
     Overrides,
-    PipelineOutcome,
     RunConfig,
     PipelineTrace,
     derive_config,

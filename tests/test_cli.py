@@ -4,6 +4,7 @@ Most cases run in-process through main() for speed; byte-determinism and
 module-entry checks go through real subprocesses.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,6 +22,9 @@ from balsub.generators import (
     complete_graph,
     cycle_graph,
     from_edge_list,
+    gnp,
+    hypercube,
+    incidence_plane,
     kdd,
     to_edge_list,
 )
@@ -317,14 +321,59 @@ def test_gadget_adjuster_menu(capsys, tmp_path):
     assert body["report"]["passed"] is True
 
 
+# sha256 of the exit code and standard output of `gadget build adjuster`
+# over every (--size, --m, --c4) case below, per host, as printed when the
+# menu was confirmed by searching G[A + cores] for every length: printing
+# the menu the adjuster claims must give the same bytes.
+_ADJUSTER_CASES = [
+    (size, m, c4) for size, m in ((1, 1), (1, 2), (3, 2), (2, 3)) for c4 in (False, True)
+]
+_ADJUSTER_HOSTS = {
+    "cycle 6": lambda: cycle_graph(6),
+    "cycle 14": lambda: cycle_graph(14),
+    "incidence_plane 2": lambda: incidence_plane(2),
+    "hypercube 3": lambda: hypercube(3),
+    "K_3,4": lambda: complete_bipartite(3, 4),
+    "kdd 4 2": lambda: kdd(4, 2),
+    "K_7": lambda: complete_graph(7),
+    "gnp 16 0.25 3": lambda: gnp(16, 0.25, 3),
+    "gnp 24 0.1 5": lambda: gnp(24, 0.1, 5),
+}
+_PINNED_ADJUSTER_BUILDS = {
+    "K_3,4": "4470dc574419b8d6a38356ff58ce68f9fe0969dfc4a6d6ed0ae9fe5a05dbe818",
+    "K_7": "cf9c9e9fd9b6094ad1dd3fb5ab7d3309681617c16d6a7eae6fd91025386634cd",
+    "cycle 14": "6a711399120cba5e4fefdc5b831152c00ce4b36daf646f1eafcc4fbff5baa785",
+    "cycle 6": "4eb251eb24507d615b1506bbc4d0bde4f5467286a74df846685ed8c62290197b",
+    "gnp 16 0.25 3": "2a2b3f68613e10c4e98747dd8b701c69dd76fa320d3507b72375a8cf13e00d12",
+    "gnp 24 0.1 5": "8a5b412b1adb597c80799252863605769fe26338b50ae2808c57c44ffd6e55a8",
+    "hypercube 3": "4bb680421c15756b24d2f3ec6fcd8ef2f977036684fc8e2f5da94e538cace433",
+    "incidence_plane 2": "73f4a47350caa7ce4554ad4cdf39710cb8349231471a7934cbbf0cea4610bd8d",
+    "kdd 4 2": "2695dcc8b1aa4bc30599b6f24adaa1b02611b5986de77d2089edbd210bce5d17",
+}
+
+
+@pytest.mark.parametrize("host", sorted(_ADJUSTER_HOSTS))
+def test_gadget_build_adjuster_output_is_pinned(capsys, tmp_path, host):
+    path = tmp_path / "host.txt"
+    path.write_text(to_edge_list(_ADJUSTER_HOSTS[host]()))
+    digest = hashlib.sha256()
+    for size, m, c4 in _ADJUSTER_CASES:
+        argv = ["gadget", "build", "adjuster", str(path), "--size", str(size),
+                "--m", str(m)] + (["--c4"] if c4 else [])
+        code, out, _ = run(capsys, argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == _PINNED_ADJUSTER_BUILDS[host]
+
+
 def test_gadget_input_flag_and_stdin(capsys, tmp_path, monkeypatch):
+    # the graph comes from the positional path or, without one, from stdin;
+    # there is no --input flag
     text = to_edge_list(cycle_graph(6))
     path = tmp_path / "c6.txt"
     path.write_text(text)
-    via_flag = run(
+    via_path = run(
         capsys,
-        ["gadget", "build", "adjuster", "--size", "1", "--m", "1",
-         "--input", str(path)],
+        ["gadget", "build", "adjuster", str(path), "--size", "1", "--m", "1"],
     )
     via_stdin = run(
         capsys,
@@ -332,8 +381,13 @@ def test_gadget_input_flag_and_stdin(capsys, tmp_path, monkeypatch):
         stdin_text=text,
         monkeypatch=monkeypatch,
     )
-    assert via_flag[0] == via_stdin[0] == 0
-    assert via_flag[1] == via_stdin[1]
+    assert via_path[0] == via_stdin[0] == 0
+    assert via_path[1] == via_stdin[1]
+    assert run(
+        capsys,
+        ["gadget", "build", "adjuster", "--size", "1", "--m", "1",
+         "--input", str(path)],
+    )[0] == 2
 
 
 def test_gadget_hub_build_check_round_trip(capsys, tmp_path):
@@ -465,6 +519,27 @@ def test_gadget_check_reports_a_core_outside_the_host(capsys, tmp_path):
     assert err == "error: vertex 99 outside 0..5\n"
 
 
+def test_gadget_check_reports_equal_cores(capsys, tmp_path):
+    gpath = tmp_path / "c6.txt"
+    gpath.write_text(to_edge_list(cycle_graph(6)))
+    _, out, _ = run(
+        capsys,
+        ["gadget", "build", "adjuster", str(gpath), "--size", "1", "--m", "1"],
+    )
+    body = json.loads(out)
+    body["core2"] = body["core1"] = 0
+    record = tmp_path / "adjuster.json"
+    record.write_text(json.dumps(body))
+    code, out, err = run(
+        capsys,
+        ["gadget", "check", "adjuster", str(gpath), "--record", str(record)],
+    )
+    assert (code, err) == (1, "")
+    clauses = {c["name"]: c["passed"] for c in json.loads(out)["clauses"]}
+    assert clauses["a1_disjoint"] is False
+    assert clauses["a4_menu"] is False
+
+
 def test_gadget_build_reports_an_avoid_vertex_outside_the_host(capsys, tmp_path):
     gpath = tmp_path / "c6.txt"
     gpath.write_text(to_edge_list(cycle_graph(6)))
@@ -550,6 +625,20 @@ def test_drc_usage_errors(capsys, tmp_path):
         capsys,
         ["drc", str(bpath), "--t", "1", "--r", "1", "--c", "1", "--a", "1"],
     )[0] == 2
+
+
+def test_drc_rejects_negative_retries(capsys, tmp_path):
+    path = tmp_path / "kb.txt"
+    path.write_text(to_edge_list(complete_bipartite(3, 3)))
+    args = ["drc", str(path), "--t", "2", "--r", "1", "--c", "2", "--a", "1",
+            "--seed", "1", "--max-retries"]
+    code, out, err = run(capsys, args + ["-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --max-retries must be >= 0\n"
+    # zero retries is allowed: it makes no attempt and reports that
+    code, out, _ = run(capsys, args + ["0"])
+    assert code == 1
+    assert json.loads(out)["failure"] == "retries_exhausted"
 
 
 # -- process-level checks ----------------------------------------------------------

@@ -1,6 +1,5 @@
 """Short robust connections between vertex sets."""
 
-import math
 import random
 
 import mpmath

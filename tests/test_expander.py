@@ -21,7 +21,6 @@ from balsub.expander import (
 from balsub.generators import (
     complete_bipartite,
     complete_graph,
-    cycle_graph,
     gnp,
     hypercube,
     path_graph,

@@ -20,7 +20,6 @@ from balsub.gadgets import (
     Hub,
     Octopus,
     Unit,
-    adjuster_length_menu,
     build_hub,
     build_octopus,
     build_simple_adjuster,
@@ -49,6 +48,16 @@ from balsub.outcomes import InvalidArgumentError, InvalidVertexError
 
 def clause_map(report):
     return {c.name: c.passed for c in report.clauses}
+
+
+def adjuster_length_menu(g, adj):
+    """Every core-to-core path length realized inside G[A + cores]."""
+    return frozenset(
+        length
+        for length in range(1, len(adj.center) + 2)
+        if router.exact_path_in_region(g, adj.center, adj.core1, [adj.core2], length)
+        is not None
+    )
 
 
 # -- hubs ---------------------------------------------------------------------
@@ -873,6 +882,21 @@ def test_adjuster_menu_of_degenerate_record():
     )
     assert adj.menu() == (3,)
     assert adjuster_length_menu(g, adj) == frozenset({3})
+
+
+def test_validate_adjuster_reports_equal_cores():
+    # a record whose cores coincide fails its clauses rather than raising
+    g = cycle_graph(6)
+    a = build_simple_adjuster(g, (), 1, 1)
+    assert isinstance(a, Adjuster)
+    bad = Adjuster(
+        a.core1, a.core1, a.end1, a.end2, a.center, a.base_length, a.steps, a.m
+    )
+    report = validate_adjuster(g, bad)
+    cm = clause_map(report)
+    assert not cm["a1_disjoint"]
+    assert not cm["a4_menu"]
+    assert report.clause("a4_menu").witness == "unrealizable lengths: [2, 4]"
 
 
 def test_validate_adjuster_rejects_tampering():

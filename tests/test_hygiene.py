@@ -132,11 +132,13 @@ def test_unused_imports_are_flagged():
 
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py imports to re-export, so its names are never read there
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    for folder in ("tests", "demos"):
+        paths += sorted((ROOT / folder).glob("*.py"))
     found = {
-        path.name: unused
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        and (unused := unused_imports(path.read_text(encoding="utf-8")))
+        f"{path.parent.name}/{path.name}": unused
+        for path in paths
+        if (unused := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 

@@ -4,25 +4,23 @@ import random
 
 import pytest
 
-from balsub.connect import check_path, path_within, short_connect
+from balsub.connect import PathWitness, check_path, path_within, short_connect
+from balsub.gadgets import Adjuster, build_simple_adjuster, validate_adjuster
 from balsub.generators import (
+    bipartite_gnp,
     complete_graph,
     cycle_graph,
     gnp,
+    hypercube,
+    incidence_plane,
     path_graph,
 )
 from balsub.outcomes import (
     InvalidArgumentError,
     InvalidVertexError,
     SearchBudgetExceeded,
-    TooLargeError,
 )
-from balsub.router import (
-    exact_path_in_region,
-    exact_paths,
-    realize_exact_length,
-    simple_path_lengths,
-)
+from balsub.router import exact_path_in_region, exact_paths
 
 
 def all_simple_path_lengths(g, region, v1, v2):
@@ -45,31 +43,29 @@ def all_simple_path_lengths(g, region, v1, v2):
 
 def test_realize_long_arc_of_c6():
     g = cycle_graph(6)
-    w = realize_exact_length(g, [1, 3, 4, 5], 0, 2, 4)
-    assert w is not None
-    assert w.vertices == (0, 5, 4, 3, 2)
+    assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 4) == [0, 5, 4, 3, 2]
 
 
 def test_realize_parity_obstruction():
     # C6 is bipartite; an odd 0,2-path cannot exist
     g = cycle_graph(6)
-    assert realize_exact_length(g, [1, 3, 4, 5], 0, 2, 3) is None
+    assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 3) is None
 
 
 def test_realize_single_edge():
     g = path_graph(2)
-    w = realize_exact_length(g, [], 0, 1, 1)
-    assert w is not None and w.vertices == (0, 1)
+    assert exact_path_in_region(g, [], 0, [1], 1) == [0, 1]
 
 
 def test_realize_validates_inputs():
     g = complete_graph(4)
-    with pytest.raises(InvalidArgumentError):
-        realize_exact_length(g, [], 0, 0, 1)
-    with pytest.raises(InvalidArgumentError):
-        realize_exact_length(g, [], 0, 1, 0)
-    with pytest.raises(TooLargeError):
-        realize_exact_length(complete_graph(30), range(2, 30), 0, 1, 3)
+    with pytest.raises(InvalidVertexError):
+        exact_path_in_region(g, [], 0, [4], 1)
+    with pytest.raises(InvalidVertexError):
+        exact_path_in_region(g, [7], 0, [1], 2)
+    # a start among the targets, or a length below 1, has no path
+    assert exact_path_in_region(g, [1, 2], 0, [0], 2) is None
+    assert exact_path_in_region(g, [], 0, [1], 0) is None
 
 
 def test_exact_path_in_region_returns_host_ids():
@@ -111,14 +107,15 @@ def test_long_paths_do_not_recurse():
     assert exact_path_in_region(g, range(1, 1199), 0, [1199], 1199) == list(range(1200))
     # paper-mode lengths run to 10^11 and beyond; the work stays bounded by the graph
     assert exact_path_in_region(g, range(1, 1199), 0, [1199], 10**12 + 1) is None
-    h = path_graph(1100)
-    assert simple_path_lengths(h, range(1, 1099), 0, 1099, cap=2000) == frozenset({1099})
 
 
 def test_menu_of_c6_arcs():
     g = cycle_graph(6)
-    menu = simple_path_lengths(g, [1, 3, 4, 5], 0, 2)
-    assert menu == frozenset({2, 4})
+    menu = {
+        n for n in range(1, 6)
+        if exact_path_in_region(g, [1, 3, 4, 5], 0, [2], n) is not None
+    }
+    assert menu == {2, 4}
 
 
 def test_realize_matches_bruteforce_oracle():
@@ -130,19 +127,53 @@ def test_realize_matches_bruteforce_oracle():
         v1, v2 = 0, n - 1
         region = frozenset(range(1, n - 1))
         oracle = all_simple_path_lengths(g, region, v1, v2)
-        menu = simple_path_lengths(g, region, v1, v2)
-        assert menu == oracle
         for target in range(1, n):
-            w = realize_exact_length(g, region, v1, v2, target)
+            found = exact_path_in_region(g, region, v1, [v2], target)
             if target in oracle:
-                assert w is not None and w.length == target
+                assert found is not None
+                w = PathWitness(tuple(found))
+                assert w.length == target
                 assert check_path(g, w)
                 assert w.vertices[0] == v1 and w.vertices[-1] == v2
                 assert set(w.interior()) <= region
             else:
-                assert w is None
+                assert found is None
         checked += 1
     assert checked == 200
+
+
+def _random_adjuster_host(rng):
+    family = rng.choice(("gnp", "bipartite", "plane", "cube", "cycle"))
+    if family == "gnp":
+        return gnp(rng.randint(8, 30), rng.choice((0.07, 0.2, 0.35)), rng.randrange(10**6))
+    if family == "bipartite":
+        n1, n2 = rng.randint(3, 12), rng.randint(3, 12)
+        return bipartite_gnp(n1, n2, rng.choice((0.25, 0.4, 0.6)), rng.randrange(10**6))[0]
+    if family == "plane":
+        return incidence_plane(rng.choice((2, 3)))
+    if family == "cube":
+        return hypercube(rng.choice((3, 4)))
+    return cycle_graph(rng.randint(4, 24))
+
+
+def test_built_adjuster_menus_are_realized_in_the_region():
+    # every length a built adjuster claims is realized inside G[A + cores],
+    # which is why `gadget build adjuster` can print the menu as claimed
+    rng = random.Random(13)
+    built = 0
+    for _ in range(400):
+        g = _random_adjuster_host(rng)
+        avoid = rng.sample(range(g.n), rng.randint(0, g.n // 3))
+        c4_mode = rng.random() < 0.5
+        m = rng.randint(2 if c4_mode else 1, 4)
+        adj = build_simple_adjuster(g, avoid, rng.randint(1, 4), m, c4_mode=c4_mode)
+        if not isinstance(adj, Adjuster):
+            continue
+        realizable = all_simple_path_lengths(g, adj.center, adj.core1, adj.core2)
+        assert set(adj.menu()) <= realizable
+        assert validate_adjuster(g, adj).passed
+        built += 1
+    assert built >= 100
 
 
 def induced_path_inside(g, region, a, b):
