@@ -73,7 +73,12 @@ def _read_text(path: str) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    return from_edge_list(_read_text(path))
+    """The graph in an edge-list file; a malformed list, an edge between
+    ids outside the stated vertex count included, is a usage error."""
+    try:
+        return from_edge_list(_read_text(path))
+    except InvalidVertexError as exc:
+        raise InvalidArgumentError(str(exc)) from exc
 
 
 def _parse_avoid(raw: str | None) -> tuple[int, ...]:
@@ -366,7 +371,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
         avoid = _parse_avoid(args.avoid)
-    except (InvalidArgumentError, InvalidVertexError, OSError) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         return _fail_usage(str(exc))
     flags = _gadget_flags(args)
     try:

@@ -7,7 +7,10 @@ validator that recomputes each definitional clause from raw adjacency.
 Distances (growing and checking an expansion) come from
 `Graph.bfs_distances`, and shortest paths (spokes, bridges, arms, and the
 tail inside an expansion) from `connect.short_connect` and
-`connect.path_within`.  `_shortest_cycle` keeps its own BFS.
+`connect.path_within`.  `_shortest_cycle` keeps its own BFS.  Hubs are
+built on vertex masks: the cores are `graph.core_levels` masks, and counts
+of vertices settle hopeless cores, centres and lean unit passes without a
+search.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .connect import PathWitness, check_path, path_within, short_connect
-from .graph import Graph, bipartite_half, core_numbers
+from .graph import Graph, bipartite_half, core_levels
 from .outcomes import (
     BuildFailure,
     Clause,
@@ -175,8 +178,8 @@ def build_hub(
     Tries min-degree cores from the largest feasible threshold downward;
     within a core, scans centers in id order and repairs the first layer
     whenever some branch cannot supply h2 private second-layer vertices.
-    Cores are vertex subsets of the host, which is never rebuilt: one mask
-    per core number, OR-ed in level by level.
+    Cores are vertex subsets of the host, which is never rebuilt: the
+    level masks of `core_levels`, OR-ed in from the top.
 
     Outside `c4_mode`, a hub is 1 + h1 + h1*h2 distinct vertices of the
     core (centre, branches, leaves outside B1), so a core with fewer is
@@ -190,17 +193,16 @@ def build_hub(
     """
     if h1 < 1 or h2 < 1:
         raise InvalidArgumentError("need h1 >= 1 and h2 >= 1")
-    gone = g.check_subset(avoid)
-    core = core_numbers(g, (v for v in g.vertices() if v not in gone))
-    if not core:
+    alive = (1 << g.n) - 1
+    for v in g.check_subset(avoid):
+        alive ^= 1 << v
+    levels = core_levels(g, alive)
+    if not levels:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
-    levels: dict[int, int] = {}
-    for v, c in core.items():
-        levels[c] = levels.get(c, 0) | 1 << v
     smallest = 0 if c4_mode else 1 + h1 + h1 * h2
     inside = 0
-    for t in sorted(levels, reverse=True):
-        inside |= levels[t]
+    for _k, level in reversed(levels):
+        inside |= level
         if inside.bit_count() < smallest:
             continue
         centers = inside
@@ -439,6 +441,8 @@ def build_unit(
 
     # Lean pass for hosts too small to hold an oversized hub around the
     # core: the core is a bare vertex and satellites are rebuilt per core.
+    if _lean_pass_hopeless(g, avoid_set, h0, h1, h2):
+        return failure
     candidates = [v for v in g.vertices() if v not in avoid_set][:40]
     for w in candidates:
         satellites = _place_hubs(g, set(avoid_set) | {w}, h0 + 1, h1, h2)
@@ -451,6 +455,30 @@ def build_unit(
             return result
         failure = result
     return failure
+
+
+def _lean_pass_hopeless(
+    g: Graph, avoid: frozenset[int], h0: int, h1: int, h2: int
+) -> bool:
+    """Whether a count shows that fewer than h0 disjoint (h1, h2)-hubs fit
+    outside `avoid` once a core vertex is taken too.
+
+    A hub is 1 + h1 + h1*h2 distinct vertices.  On a bipartite host it also
+    has at least h1 vertices in each colour class (its branches on one
+    side; its centre and leaves, 1 + h1*h2 >= h1 of them, on the other), in
+    whichever component it lies.  The lean pass only moves on to the next
+    core when fewer than h0 satellites fit, so then no core can succeed,
+    and `build_unit` never asks for `c4_mode` hubs, the one kind whose
+    search can raise.
+    """
+    free = g.n - len(avoid)
+    if (free - 1) // (1 + h1 + h1 * h2) < h0:
+        return True
+    coloring = g.two_coloring()
+    if coloring is None:
+        return False
+    ones = sum(coloring) - sum(coloring[v] for v in avoid)
+    return min(ones, free - ones) // h1 < h0
 
 
 def _place_hubs(
@@ -644,8 +672,14 @@ def _shortest_cycle(g: Graph) -> list[int] | None:
     Roots are scanned in ascending order, so once a root closes a cycle of
     the girth floor (3, or 4 in a bipartite graph) no later root can win.
     Its BFS is its own, not `Graph.bfs_distances`: it keeps parent pointers
-    to rebuild the cycle and stops each root's search at half the best
-    length so far.
+    to rebuild the cycle and stops a root's search at the first vertex u
+    with 2 * dist[u] >= the best length so far.  That cut is exact: an edge
+    from u to a vertex w of the level above closes a cycle of length
+    2 * dist[u], but u's parent reached u before w was expanded, so w
+    already found the same edge, with the same key and the same chains.
+    Every other candidate from u is longer than the best.  In a bipartite
+    host (floor 4), the root that closes the first 4-cycle expands no
+    vertex at distance 2.
     """
     floor = 3 if g.two_coloring() is None else 4
     best: tuple[int, int, int, int] | None = None
@@ -658,7 +692,7 @@ def _shortest_cycle(g: Graph) -> list[int] | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            if best is not None and dist[u] >= best[0] // 2 + 1:
+            if best is not None and 2 * dist[u] >= best[0]:
                 break
             for w in g._adj[u]:
                 if w not in dist:

@@ -4,6 +4,12 @@ Vertex ids are always ``0..n-1``.  A graph keeps one adjacency, which also
 answers every edge question.  Operations that restrict to a vertex subset
 return the new graph together with an id-remapping table so callers can
 lift results back to the host graph.
+
+The kernels the unit route leans on (`Graph.two_coloring`,
+`bipartite_half`, `core_levels`) work on the cached bitset adjacency, one
+big-int operation per vertex rather than one step per edge.  Graphs this
+module derives from a checked one (`Graph.induced`, `bipartite_half`) are
+built by the unchecked `Graph._of`, which no other module calls.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable
 
 from .outcomes import EmptyGraphError, InvalidArgumentError, InvalidVertexError
@@ -43,6 +50,20 @@ class Graph:
             tuple(sorted(nbrs)) for nbrs in adj
         )
         self._masks: tuple[int, ...] | None = None
+
+    @classmethod
+    def _of(
+        cls,
+        adj: tuple[tuple[int, ...], ...],
+        masks: tuple[int, ...] | None = None,
+    ) -> "Graph":
+        """A graph on adjacency this module built, unchecked: `adj` must
+        be sorted, symmetric and loop-free, and `masks` its bitset view."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = adj
+        g._masks = masks
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -134,26 +155,37 @@ class Graph:
 
     def two_coloring(self) -> tuple[int, ...] | None:
         """Proper 2-coloring with color 0 on each component's least vertex,
-        or None when some component contains an odd cycle.  Not built on
-        `bfs_distances`, so that it stops at the first conflict: colouring by
-        `bfs_distances` parity took 1.0 ms instead of 0.017 ms on K160 and
-        7-40% longer on bipartite hosts (2-vCPU Xeon VM).
+        or None when some component contains an odd cycle.
+
+        Colours whole BFS levels at once on the bitset adjacency: a level's
+        neighbourhood is the OR of its members' masks, one big-int OR per
+        vertex instead of one visit per edge.  Not built on `bfs_distances`,
+        so that it stops at the first conflict: a member whose neighbourhood
+        meets its own colour class closes an odd cycle, and on K160 the
+        first member of the second level already does.
         """
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] != -1:
-                continue
-            color[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
+        masks = self.neighbor_masks()
+        classes = [0, 0]
+        unseen = (1 << self.n) - 1
+        while unseen:
+            level = unseen & -unseen
+            colour = 0
+            while level:
+                unseen &= ~level
+                classes[colour] |= level
+                own = classes[colour]
+                reach = 0
+                while level:
+                    low = level & -level
+                    level ^= low
+                    nbrs = masks[low.bit_length() - 1]
+                    if nbrs & own:
                         return None
-        return tuple(color)
+                    reach |= nbrs
+                level = reach & unseen
+                colour ^= 1
+        colours = f"{classes[1]:0{self.n}b}"[::-1] if self.n else ""
+        return tuple(map(int, colours))
 
     def bfs_distances(self, sources: Iterable[int], blocked: frozenset[int] = frozenset()) -> dict[int, int]:
         """Distances from the source set, never entering `blocked`: the
@@ -187,13 +219,11 @@ class Graph:
             return self, tuple(self.vertices())
         ids = tuple(sorted(kept))
         back = {old: new for new, old in enumerate(ids)}
-        edges = [
-            (new, back[w])
-            for new, u in enumerate(ids)
-            for w in self._adj[u]
-            if w > u and w in back
-        ]
-        return Graph(len(ids), edges), ids
+        # the id map is increasing, so each filtered tuple stays sorted
+        adj = tuple(
+            tuple(back[w] for w in self._adj[u] if w in back) for u in ids
+        )
+        return Graph._of(adj), ids
 
     def delete(self, drop: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on the complement of `drop`, with id table."""
@@ -235,30 +265,43 @@ def external_neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def core_numbers(g: Graph, alive: Iterable[int]) -> dict[int, int]:
-    """Core number of every vertex of G[alive]: the largest t such that the
-    vertex lies in the t-core, the maximal induced subgraph of G[alive]
-    with minimum degree >= t.
+def _members(mask: int) -> list[int]:
+    """The vertex ids set in `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def core_levels(g: Graph, alive: int) -> list[tuple[int, int]]:
+    """The core numbers of G[alive], for the vertex mask `alive`, as
+    (k, level mask) pairs in increasing k: the level holds the vertices
+    whose core number is k, the largest t such that the vertex lies in the
+    t-core, the maximal induced subgraph of G[alive] with minimum degree
+    >= t.  Levels no vertex has are left out.
 
     A level peel on the host's bitset adjacency, so no subgraph is built.
     Each level k is the least degree left.  While some vertex has degree
-    <= k, every such vertex is removed in one round and gets core number k,
-    and only the removed batch's live neighbours have their degrees
-    recounted (by popcount).  When none is left, every remaining degree
-    exceeds k, so the next level is higher.
+    <= k, every such vertex is removed in one round, and only the removed
+    batch's live neighbours have their degrees recounted (by popcount).
+    When none is left, every remaining degree exceeds k, so the next level
+    is higher; the vertices removed meanwhile are the level's mask.
     """
-    live = g.check_subset(alive)
+    if alive < 0 or alive >> g.n:
+        raise InvalidVertexError(f"vertex mask {alive:#x} outside 0..{g.n - 1}")
     masks = g.neighbor_masks()
-    rest = sum(1 << v for v in live)  # distinct bits: the sum is the union
-    deg = {v: (masks[v] & rest).bit_count() for v in live}
-    core: dict[int, int] = {}
+    rest = alive
+    deg = {v: (masks[v] & rest).bit_count() for v in _members(alive)}
+    levels: list[tuple[int, int]] = []
     while deg:
         k = min(deg.values())
+        start = rest
         batch = [v for v, d in deg.items() if d <= k]
         while batch:
             touched = 0
             for v in batch:
-                core[v] = k
                 del deg[v]
                 rest ^= 1 << v
                 touched |= masks[v]
@@ -271,7 +314,8 @@ def core_numbers(g: Graph, alive: Iterable[int]) -> dict[int, int]:
                 d = deg[w] = (masks[w] & rest).bit_count()
                 if d <= k:
                     batch.append(w)
-    return core
+        levels.append((k, start ^ rest))
+    return levels
 
 
 def min_degree_peel(g: Graph, t: int) -> tuple[Graph, tuple[int, ...]]:
@@ -282,8 +326,11 @@ def min_degree_peel(g: Graph, t: int) -> tuple[Graph, tuple[int, ...]]:
     """
     if t < 0:
         raise InvalidArgumentError("degree threshold must be nonnegative")
-    core = core_numbers(g, g.vertices())
-    return g.induced(v for v, c in core.items() if c >= t)
+    keep = 0
+    for k, level in core_levels(g, (1 << g.n) - 1):
+        if k >= t:
+            keep |= level
+    return g.induced(_members(keep))
 
 
 def bipartite_half(g: Graph) -> tuple[Graph, tuple[frozenset[int], frozenset[int]]]:
@@ -293,18 +340,34 @@ def bipartite_half(g: Graph) -> tuple[Graph, tuple[frozenset[int], frozenset[int
     local search: any vertex with strictly more same-side than cross
     neighbors flips.  At the fixed point every vertex has at least half its
     edges crossing, so the crossing subgraph H has d(H) >= d(G)/2.
+
+    The sides are bitmasks, so a vertex's same-side count is one popcount,
+    and H's bitsets are the host's masked by the other side.
     """
-    side = [v % 2 for v in g.vertices()]
+    masks = g.neighbor_masks()
+    full = (1 << g.n) - 1
+    ones = sum(1 << v for v in range(1, g.n, 2))  # side 1: the odd ids
     changed = True
     while changed:
         changed = False
         for v in g.vertices():
-            same = sum(1 for w in g._adj[v] if side[w] == side[v])
-            cross = len(g._adj[v]) - same
-            if same > cross:
-                side[v] = 1 - side[v]
+            on_one = ones >> v & 1
+            degree = len(g._adj[v])
+            hits = (masks[v] & ones).bit_count()
+            same = hits if on_one else degree - hits
+            if 2 * same > degree:
+                ones ^= 1 << v
                 changed = True
-    crossing = [(u, v) for u, v in g.edges() if side[u] != side[v]]
-    part0 = frozenset(v for v in g.vertices() if side[v] == 0)
-    part1 = frozenset(v for v in g.vertices() if side[v] == 1)
-    return Graph(g.n, crossing), (part0, part1)
+    zeros = full ^ ones
+    side = [ones >> v & 1 for v in g.vertices()]
+    across = ([w == 1 for w in side], [w == 0 for w in side])
+    adj = tuple(
+        tuple(compress(nbrs, map(across[s].__getitem__, nbrs)))
+        for nbrs, s in zip(g._adj, side)
+    )
+    half_masks = tuple(
+        m & (zeros if s else ones) for m, s in zip(masks, side)
+    )
+    part0 = frozenset(_members(zeros))
+    part1 = frozenset(_members(ones))
+    return Graph._of(adj, half_masks), (part0, part1)

@@ -552,6 +552,25 @@ def test_gadget_build_reports_an_avoid_vertex_outside_the_host(capsys, tmp_path)
     assert err == "error: vertex 99 outside 0..5\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find", "GRAPH"],
+        ["verify", "GRAPH", "GRAPH"],
+        ["expander", "GRAPH", "--k", "1"],
+        ["drc", "GRAPH", "--t", "1", "--r", "1", "--c", "1", "--a", "1", "--seed", "1"],
+        ["gadget", "build", "hub", "GRAPH", "--h1", "1", "--h2", "1"],
+    ],
+    ids=["find", "verify", "expander", "drc", "gadget"],
+)
+def test_edge_outside_the_vertex_count_is_a_usage_error(capsys, tmp_path, argv):
+    gpath = tmp_path / "bad.txt"
+    gpath.write_text("n 3\n0 5\n")
+    code, out, err = run(capsys, [str(gpath) if a == "GRAPH" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: edge (0, 5) outside 0..2\n"
+
+
 def test_gadget_build_failure_shape(capsys, tmp_path):
     path = tmp_path / "p8.txt"
     path.write_text(to_edge_list(Graph(8, [(i, i + 1) for i in range(7)])))

@@ -42,7 +42,7 @@ from balsub.generators import (
     incidence_plane,
     path_graph,
 )
-from balsub.graph import Graph, bipartite_half, core_numbers
+from balsub.graph import Graph, bipartite_half, core_levels
 from balsub.outcomes import InvalidArgumentError, InvalidVertexError
 
 
@@ -167,8 +167,9 @@ def test_hub_validator_rejects_tampering():
 
 
 def oracle_core_numbers(g, alive):
-    """The bucket peel `graph.core_numbers` used before the level peel:
-    one least-degree vertex at a time on the sorted adjacency lists."""
+    """The bucket peel that computed core numbers before the level peel of
+    `graph.core_levels`: one least-degree vertex at a time on the sorted
+    adjacency lists."""
     live = g.check_subset(alive)
     deg = [-1] * g.n
     for v in live:
@@ -348,7 +349,9 @@ def test_core_numbers_and_build_hub_match_the_list_oracles(monkeypatch):
             share = rng.random() / 2
             avoid = frozenset(v for v in g.vertices() if rng.random() < share)
             alive = [v for v in g.vertices() if v not in avoid]
-            assert core_numbers(g, alive) == oracle_core_numbers(g, alive)
+            levels = core_levels(g, sum(1 << v for v in alive))
+            got = {v: k for k, level in levels for v in alive if level >> v & 1}
+            assert got == oracle_core_numbers(g, alive)
             h1, h2 = rng.randint(1, 4), rng.randint(1, 4)
             c4_mode = rng.random() < 0.5
             want = check(g, avoid, h1, h2, c4_mode)
@@ -619,6 +622,57 @@ def test_unit_failure_names_the_last_core_tried():
     assert out.reason == "connection_stalled"
     assert out.detail == "spokes consumed too much of a satellite hub"
     assert [s.vertices for s in out.partial] == [(10, 7, 4, 1)]
+
+
+def oracle_lean_pass(g, avoid, h0, h1, h2, h3, failure):
+    """`build_unit`'s lean pass as it ran before the counting bound: every
+    bare core is tried, and a core with fewer than h0 satellites is passed
+    over without touching `failure`."""
+    for w in [v for v in g.vertices() if v not in avoid][:40]:
+        satellites = gadgets._place_hubs(g, set(avoid) | {w}, h0 + 1, h1, h2)
+        if len(satellites) < h0:
+            continue
+        result = gadgets._attach(
+            g, w, frozenset({w}), satellites, satellites, avoid, h0, h1, h2, h3
+        )
+        if isinstance(result, Unit):
+            return result
+        failure = result
+    return failure
+
+
+def test_lean_pass_bound_matches_the_full_loop():
+    """Where the count settles the lean pass, the loop it skips returns
+    the failure it was given, on avoid sets that grow unit by unit as in
+    `find_balanced_subdivision`."""
+    rng = random.Random(17)
+    hosts = [complete_graph(n) for n in (9, 14, 20, 27)]
+    # lopsided sides are where the colour-class count settles the pass
+    sides = ((4, 9), (8, 8), (12, 20), (2, 20), (3, 30), (5, 24), (7, 40))
+    hosts += [complete_bipartite(a, b) for a, b in sides]
+    hosts += [hypercube(4), hypercube(5)]
+    for trial in range(24):
+        g = gnp(rng.randint(8, 40), rng.choice((0.2, 0.4, 0.7)), trial)
+        hosts += [g, bipartite_half(g)[0]]
+    fired = Counter()
+    for g in hosts:
+        for shape in ((2, 1, 1, 2), (3, 1, 1, 2), (2, 2, 1, 3), (4, 1, 2, 2)):
+            h0, h1, h2, h3 = shape
+            avoid = frozenset()
+            for _ in range(6):
+                if gadgets._lean_pass_hopeless(g, avoid, h0, h1, h2):
+                    given = BuildFailure("hub_pool_exhausted", "sentinel")
+                    kept = oracle_lean_pass(g, avoid, h0, h1, h2, h3, given)
+                    assert kept is given, (g, avoid, shape)
+                    free = g.n - len(avoid)
+                    fired["sides" if (free - 1) // (1 + h1 + h1 * h2) >= h0 else "count"] += 1
+                else:
+                    fired["open"] += 1
+                unit = build_unit(g, avoid, *shape)
+                if not isinstance(unit, Unit):
+                    break
+                avoid |= unit.interior()
+    assert min(fired.values()) > 0 and len(fired) == 3, fired
 
 
 def test_unit_bad_parameters():
@@ -998,6 +1052,60 @@ def test_shortest_cycle_matches_edge_removal_oracle():
         assert all(g.has_edge(x, y) for x, y in zip(closed, closed[1:]))
         checked += 1
     assert checked >= 40
+
+
+def oracle_shortest_cycle(g, work):
+    """`_shortest_cycle` with its earlier cut, one level looser: a root's
+    BFS ran on through the vertices at distance best // 2.  Tallies in
+    `work` the vertices the tighter cut no longer expands."""
+    floor = 3 if g.two_coloring() is None else 4
+    best = best_paths = None
+    for root in g.vertices():
+        if best is not None and best[0] == floor:
+            break
+        dist = {root: 0}
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if best is not None and dist[u] >= best[0] // 2 + 1:
+                break
+            if best is not None and 2 * dist[u] >= best[0]:
+                work["skipped"] += 1
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w and parent[w] != u:
+                    key = (dist[u] + dist[w] + 1, root, min(u, w), max(u, w))
+                    if best is None or key < best:
+                        pu = gadgets._chain(parent, u)
+                        pw = gadgets._chain(parent, w)
+                        if len(set(pu) | set(pw)) == len(pu) + len(pw) - 1:
+                            best = key
+                            best_paths = (pu, pw)
+    if best is None:
+        return None
+    pu, pw = best_paths
+    return gadgets._canonical_cycle(list(reversed(pu)) + pw[:-1])
+
+
+def test_shortest_cycle_matches_the_looser_cut():
+    rng = random.Random(18)
+    work = Counter()
+    seen = Counter()
+    for trial in range(1200):
+        g = gnp(rng.randint(3, 40), rng.choice((0.05, 0.08, 0.15, 0.3, 0.6)), trial)
+        if trial % 2:
+            g = bipartite_half(g)[0]
+        want = oracle_shortest_cycle(g, work)
+        assert _shortest_cycle(g) == want, g
+        seen[(trial % 2, None if want is None else len(want))] += 1
+    assert work["skipped"] > 0
+    # forests, and girths at and above both floors, odd ones included
+    want = {(0, None), (0, 3), (0, 4), (0, 5), (1, None), (1, 4), (1, 6)}
+    assert want <= set(seen), seen
 
 
 def test_shortest_cycle_is_the_least_candidate_on_bipartite_hosts():

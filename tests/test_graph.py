@@ -1,6 +1,7 @@
 """Core graph container and degree/partition helpers."""
 
 import random
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,12 @@ from balsub.graph import (
     Graph,
     average_degree,
     bipartite_half,
-    core_numbers,
+    core_levels,
     degree_stats,
     external_neighborhood,
     min_degree_peel,
 )
-from balsub.generators import complete_graph, cycle_graph, gnp, path_graph
+from balsub.generators import bipartite_gnp, complete_graph, cycle_graph, gnp, path_graph
 from balsub.outcomes import (
     EmptyGraphError,
     InvalidArgumentError,
@@ -140,6 +141,67 @@ def test_two_coloring_odd_cycle_fails():
     assert cycle_graph(5).two_coloring() is None
 
 
+def oracle_two_coloring(g):
+    """The deque BFS `Graph.two_coloring` ran before the level masks: one
+    visit per edge, stopping at the first edge inside a colour class."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    return tuple(color)
+
+
+def _mixed_hosts(rng, count):
+    """Random hosts of the shapes the graph kernels meet: empty and
+    edgeless, sparse and disconnected, dense, bipartite by construction,
+    bipartite halves, and unions of cycles, some of them odd, relabelled
+    so that a cycle's least vertex lies anywhere on it."""
+    hosts = [Graph(0), Graph(1), Graph(5)]
+    while len(hosts) < count:
+        n = rng.randint(1, 40)
+        seed = rng.randrange(10**6)
+        kind = rng.randrange(4)
+        if kind == 0:
+            hosts.append(gnp(n, rng.choice((0.03, 0.08, 0.2, 0.5, 0.9)), seed))
+        elif kind == 1:
+            p = rng.choice((0.05, 0.2, 0.6))
+            hosts.append(bipartite_gnp(n // 2 + 1, n - n // 2, p, seed)[0])
+        elif kind == 2:
+            hosts.append(bipartite_half(gnp(n, rng.choice((0.1, 0.4, 0.8)), seed))[0])
+        else:
+            sizes = [rng.randint(3, 9) for _ in range(rng.randint(1, 4))]
+            label = list(range(sum(sizes)))
+            rng.shuffle(label)
+            edges, base = [], 0
+            for size in sizes:
+                edges += [
+                    (label[base + i], label[base + (i + 1) % size]) for i in range(size)
+                ]
+                base += size
+            hosts.append(Graph(len(label), edges))
+    return hosts
+
+
+def test_two_coloring_matches_the_bfs_oracle():
+    seen = Counter()
+    for g in _mixed_hosts(random.Random(14), 1200):
+        want = oracle_two_coloring(g)
+        assert g.two_coloring() == want, g
+        seen["odd" if want is None else "bipartite"] += 1
+        seen["disconnected"] += len(g.components()) > 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_bfs_distances_with_blocked_set():
     g = path_graph(5)
     dist = g.bfs_distances([0])
@@ -230,6 +292,35 @@ def test_bipartite_half_property(n, seed):
         assert g.has_edge(u, v)
 
 
+def oracle_bipartite_half(g):
+    """The edge-tuple `bipartite_half` used before the side masks."""
+    side = [v % 2 for v in g.vertices()]
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices():
+            same = sum(1 for w in g.neighbors(v) if side[w] == side[v])
+            if same > g.degree(v) - same:
+                side[v] = 1 - side[v]
+                changed = True
+    crossing = [(u, v) for u, v in g.edges() if side[u] != side[v]]
+    part0 = frozenset(v for v in g.vertices() if side[v] == 0)
+    part1 = frozenset(v for v in g.vertices() if side[v] == 1)
+    return Graph(g.n, crossing), (part0, part1)
+
+
+def test_bipartite_half_matches_the_edge_tuple_oracle():
+    flipped = 0
+    for g in _mixed_hosts(random.Random(15), 1000):
+        half, sides = bipartite_half(g)
+        want, want_sides = oracle_bipartite_half(g)
+        assert (half, sides) == (want, want_sides), g
+        # the bitsets handed over are the ones the half would build itself
+        assert half.neighbor_masks() == want.neighbor_masks()
+        flipped += sides[0] != frozenset(range(0, g.n, 2))
+    assert flipped >= 100
+
+
 def _brute_core(g, alive, t):
     """The t-core of G[alive] by deleting low-degree vertices one at a
     time until none is left."""
@@ -253,11 +344,21 @@ def test_min_degree_peel_property(n, seed, t):
     assert set(ids) == _brute_core(g, g.vertices(), t)
 
 
+def _core_table(levels, n):
+    """The {vertex: core number} table of `core_levels`' level masks."""
+    return {v: k for k, level in levels for v in range(n) if level >> v & 1}
+
+
 @given(st.integers(1, 14), st.integers(0, 10**6), st.integers(0, 2**14 - 1))
 def test_core_numbers_match_brute_peel_on_subsets(n, seed, pick):
     g = gnp(n, 0.5, seed)
     alive = [v for v in g.vertices() if pick >> v & 1]
-    core = core_numbers(g, alive)
+    levels = core_levels(g, sum(1 << v for v in alive))
+    # increasing core numbers, nonempty and disjoint levels
+    assert [k for k, _ in levels] == sorted({k for k, _ in levels})
+    assert all(level for _, level in levels)
+    assert sum(level.bit_count() for _, level in levels) == len(alive)
+    core = _core_table(levels, n)
     assert set(core) == set(alive)
     for t in range(n + 1):
         assert {v for v, c in core.items() if c >= t} == _brute_core(g, alive, t)
@@ -265,5 +366,8 @@ def test_core_numbers_match_brute_peel_on_subsets(n, seed, pick):
 
 def test_core_numbers_checks_the_subset():
     with pytest.raises(InvalidVertexError):
-        core_numbers(path_graph(3), [0, 3])
-    assert core_numbers(path_graph(3), []) == {}
+        core_levels(path_graph(3), 0b1001)
+    with pytest.raises(InvalidVertexError):
+        core_levels(path_graph(3), -1)
+    assert core_levels(path_graph(3), 0) == []
+    assert core_levels(path_graph(3), 0b111) == [(1, 0b111)]

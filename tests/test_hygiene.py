@@ -189,3 +189,31 @@ def test_every_export_is_listed_once_resolves_and_is_read():
         for path in sorted((ROOT / folder).glob("*.py")):
             sources[f"{folder}/{path.name}"] = path.read_text(encoding="utf-8")
     assert unread_exports({name: modules.get(name) for name in names}, sources) == []
+
+
+def attribute_reads(source: str, attr: str) -> list[int]:
+    """Lines where the source reads `attr` as an attribute, as in `x.attr`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    )
+
+
+def test_attribute_reads_are_flagged():
+    source = "g = Graph._of(adj)\nbuild = make()._of\n_of = 1\nprint(g.of, _of)\n"
+    assert attribute_reads(source, "_of") == [1, 2]
+
+
+def test_only_graph_py_builds_unchecked_graphs():
+    # `Graph._of` skips the constructor's checks, so only the module whose
+    # code builds well-formed adjacency may call it
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "graph.py"]
+    for folder in ("demos", "perfbench", "tests"):
+        paths += sorted((ROOT / folder).glob("*.py"))
+    found = {
+        f"{path.parent.name}/{path.name}": lines
+        for path in paths
+        if (lines := attribute_reads(path.read_text(encoding="utf-8"), "_of"))
+    }
+    assert found == {}

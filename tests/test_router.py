@@ -41,17 +41,6 @@ def all_simple_path_lengths(g, region, v1, v2):
     return frozenset(lengths)
 
 
-def test_realize_long_arc_of_c6():
-    g = cycle_graph(6)
-    assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 4) == [0, 5, 4, 3, 2]
-
-
-def test_realize_parity_obstruction():
-    # C6 is bipartite; an odd 0,2-path cannot exist
-    g = cycle_graph(6)
-    assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 3) is None
-
-
 def test_realize_single_edge():
     g = path_graph(2)
     assert exact_path_in_region(g, [], 0, [1], 1) == [0, 1]
@@ -72,6 +61,7 @@ def test_exact_path_in_region_returns_host_ids():
     g = cycle_graph(6)
     found = exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 4)
     assert found == [0, 5, 4, 3, 2]
+    # C6 is bipartite; an odd 0,2-path cannot exist
     assert exact_path_in_region(g, [1, 3, 4, 5], 0, [2], 3) is None
     with pytest.raises(InvalidArgumentError):
         exact_path_in_region(g, [1], 0, [], 2)
