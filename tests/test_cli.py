@@ -365,6 +365,193 @@ def test_gadget_build_adjuster_output_is_pinned(capsys, tmp_path, host):
     assert digest.hexdigest() == _PINNED_ADJUSTER_BUILDS[host]
 
 
+# sha256 of the exit code, standard output and standard error of every
+# command of a group below, in order, as printed while `gen` and `gadget`
+# still picked their family and kind in if-chains.  HOST names a file of
+# `_CLI_HOSTS` and REC a file of `_CLI_RECORDS` (made by the group's first
+# commands when the entry is a command); the temporary folder prints as TMP.
+_CLI_HOSTS = {
+    "k6": lambda: complete_graph(6),
+    "k10": lambda: complete_graph(10),
+    "k40": lambda: complete_graph(40),
+    "c6": lambda: cycle_graph(6),
+    "p8": lambda: Graph(8, [(i, i + 1) for i in range(7)]),
+    "kb": lambda: complete_bipartite(3, 3),
+    "bip": lambda: bipartite_gnp(60, 60, 0.5, 11)[0],
+}
+_HUB_K10 = {"kind": "hub", "center": 0, "first_layer": [1, 2, 3],
+            "second_layers": [[1, [4, 5]], [2, [6, 7]], [3, [8, 9]]]}
+_CLI_RECORDS = {
+    "hub": json.dumps(_HUB_K10),
+    "hub_no_center": json.dumps({k: v for k, v in _HUB_K10.items() if k != "center"}),
+    "hub_bad_center": json.dumps({**_HUB_K10, "center": "zero"}),
+    "hub_bad_layers": json.dumps({**_HUB_K10, "second_layers": [[1]]}),
+    "list": "[1, 2]",
+    "not_json": "{",
+    "unit_no_core": json.dumps({"hubs": [], "spokes": [], "spoke_cap": 1}),
+    "unit_bad_hub": json.dumps(
+        {"core": 0, "hubs": [{"center": 1}], "spokes": [], "spoke_cap": 1}
+    ),
+    "unit_bad_spoke": json.dumps(
+        {"core": 0, "hubs": [_HUB_K10], "spokes": [[0, "x"]], "spoke_cap": 1}
+    ),
+    "unit_looped_spoke": json.dumps(
+        {"core": 0, "hubs": [_HUB_K10], "spokes": [[0, 1, 0]], "spoke_cap": 1}
+    ),
+    "adjuster_bad_end": json.dumps(
+        {"core1": 0, "core2": 3, "end1": {"anchor": 0, "vertices": [0]},
+         "end2": {"anchor": 3, "vertices": [3], "radius": 0}, "center": [1, 2],
+         "base_length": 3, "steps": 1, "m": 1}
+    ),
+}
+_DRC = ["--t", "2", "--r", "1", "--c", "2", "--a", "1", "--seed", "1"]
+_CLI_GROUPS = {
+    "gen": [
+        ["gen", "gnp", "20", "0.3", "--seed", "3"],
+        ["gen", "kdd", "4", "2"],
+        ["gen", "hypercube", "3"],
+        ["gen", "cycle", "9"],
+        ["gen", "incidence_plane", "2"],
+        ["gen", "incidence-plane", "3"],
+        ["gen", "complete", "6"],
+        ["gen", "wavelet", "3"],
+        ["gen", "incidence-planes", "3"],
+        ["gen", "cycle"],
+        ["gen", "cycle", "9", "9"],
+        ["gen", "gnp", "20"],
+        ["gen", "gnp", "20", "0.3"],
+        ["gen", "gnp", "x", "0.3"],
+        ["gen", "gnp", "20", "1.5", "--seed", "1"],
+        ["gen", "gnp", "x", "0.3", "--seed", "1"],
+        ["gen", "gnp", "20", "half", "--seed", "1"],
+        ["gen", "kdd", "0", "2"],
+        ["gen", "kdd", "4", "two"],
+        ["gen", "hypercube", "-1"],
+        ["gen", "cycle", "2"],
+        ["gen", "cycle", "two"],
+        ["gen", "incidence_plane", "4"],
+        ["gen", "complete", "0"],
+        ["gen", "complete", "2.5"],
+        ["gen", "complete", "3", "--seed", "4"],
+    ],
+    "gadget hub": [
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "3", "--h2", "2"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "3", "--h2", "2", "--c4"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "2", "--h2", "1",
+         "--avoid", "0,3"],
+        ["gadget", "build", "hub", "HOST/c6", "--h1", "3", "--h2", "2"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "0", "--h2", "2"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "2"],
+        ["gadget", "build", "hub", "HOST/k10", "--h2", "2"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "2", "--h2", "1",
+         "--avoid", "1,x"],
+        ["gadget", "build", "hub", "HOST/k10", "--h1", "2", "--h2", "1",
+         "--avoid", "12"],
+        ["gadget", "build", "hub", "HOST/none", "--h1", "2", "--h2", "1"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/hub"],
+        ["gadget", "check", "hub", "HOST/c6", "--record", "REC/hub"],
+        ["gadget", "check", "hub", "HOST/k10"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/none"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/not_json"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/list"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/hub_no_center"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/hub_bad_center"],
+        ["gadget", "check", "hub", "HOST/k10", "--record", "REC/hub_bad_layers"],
+    ],
+    "gadget unit": [
+        ["gadget", "build", "unit", "HOST/k40", "--h0", "2", "--h1", "2",
+         "--h2", "1", "--h3", "4"],
+        ["gadget", "build", "unit", "HOST/k40", "--h0", "1", "--h1", "1",
+         "--h2", "1", "--h3", "2", "--avoid", "0,1,2"],
+        ["gadget", "build", "unit", "HOST/c6", "--h0", "2", "--h1", "2",
+         "--h2", "1", "--h3", "4"],
+        ["gadget", "build", "unit", "HOST/k40", "--h0", "0", "--h1", "2",
+         "--h2", "1", "--h3", "4"],
+        ["gadget", "build", "unit", "HOST/k40", "--h0", "2", "--h1", "2",
+         "--h2", "1"],
+        ["gadget", "build", "unit", "HOST/k40", "--h1", "2", "--h2", "1",
+         "--h3", "4"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/unit"],
+        ["gadget", "check", "unit", "HOST/k10", "--record", "REC/unit"],
+        ["gadget", "check", "unit", "HOST/k40"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/list"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/not_json"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/hub"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/unit_no_core"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/unit_bad_hub"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/unit_bad_spoke"],
+        ["gadget", "check", "unit", "HOST/k40", "--record", "REC/unit_looped_spoke"],
+    ],
+    "gadget adjuster": [
+        ["gadget", "build", "adjuster", "HOST/c6", "--size", "1", "--m", "1"],
+        ["gadget", "build", "adjuster", "HOST/p8", "--size", "1", "--m", "1"],
+        ["gadget", "build", "adjuster", "HOST/c6", "--size", "1"],
+        ["gadget", "build", "adjuster", "HOST/c6", "--m", "1"],
+        ["gadget", "check", "adjuster", "HOST/c6", "--record", "REC/adjuster"],
+        ["gadget", "check", "adjuster", "HOST/k6", "--record", "REC/adjuster"],
+        ["gadget", "check", "adjuster", "HOST/c6", "--record", "REC/hub"],
+        ["gadget", "check", "adjuster", "HOST/c6", "--record", "REC/list"],
+        ["gadget", "check", "adjuster", "HOST/c6", "--record", "REC/adjuster_bad_end"],
+        ["gadget", "check", "adjuster", "HOST/c6"],
+    ],
+    "drc": [
+        ["drc", "HOST/kb"] + _DRC,
+        ["drc", "HOST/kb"] + _DRC + ["--max-retries", "0"],
+        ["drc", "HOST/bip", "--t", "3", "--r", "2", "--c", "5", "--a", "3",
+         "--seed", "0", "--n1", "60"],
+        ["drc", "HOST/bip", "--t", "3", "--r", "2", "--c", "500", "--a", "3",
+         "--seed", "0", "--n1", "60"],
+        ["drc", "HOST/kb", "--t", "0", "--r", "1", "--c", "2", "--a", "1",
+         "--seed", "1"],
+        ["drc", "HOST/k6"] + _DRC,
+        ["drc", "HOST/k6"] + _DRC + ["--n1", "3"],
+        ["drc", "HOST/kb"] + _DRC + ["--n1", "0"],
+        ["drc", "HOST/kb"] + _DRC + ["--max-retries", "-1"],
+        ["drc", "HOST/none"] + _DRC,
+    ],
+}
+# commands whose standard output becomes a record before the group runs
+_CLI_RECORD_BUILDS = {
+    "unit": ["gadget", "build", "unit", "HOST/k40", "--h0", "2", "--h1", "2",
+             "--h2", "1", "--h3", "4"],
+    "adjuster": ["gadget", "build", "adjuster", "HOST/c6", "--size", "1", "--m", "1"],
+}
+_PINNED_CLI_GROUPS = {
+    "gen": "f3ea9d32e125b90d073a5a5eb7d077e40d6ffe1aa7213ccd45826063a621cf12",
+    "gadget hub": "b5b422b2b0d3dd33830a55ff9dda10e610f5445dd297dc2d6467bb85dd0bfcbd",
+    "gadget unit": "a544f4434781645221c1cbe286254ed885ccede3490f9f4b9728c716efb44c44",
+    "gadget adjuster": "b97224e562ebf2d2a54b87cf94ac490dacc4f2c43b25aaf0314580386c04becc",
+    "drc": "79491669a1b4fc9d8c313743cf671a5030d5f971ef9bc36aac04f6dda9ce7d8a",
+}
+
+
+@pytest.mark.parametrize("group", sorted(_CLI_GROUPS))
+def test_cli_output_is_pinned(capsys, tmp_path, group):
+    (tmp_path / "host").mkdir()
+    (tmp_path / "rec").mkdir()
+    for name, make in _CLI_HOSTS.items():
+        (tmp_path / "host" / name).write_text(to_edge_list(make()))
+    for name, text in _CLI_RECORDS.items():
+        (tmp_path / "rec" / name).write_text(text)
+
+    def resolve(argv):
+        return [
+            a.replace("HOST/", f"{tmp_path}/host/").replace("REC/", f"{tmp_path}/rec/")
+            for a in argv
+        ]
+
+    for name, argv in _CLI_RECORD_BUILDS.items():
+        code, out, _ = run(capsys, resolve(argv))
+        assert code == 0
+        (tmp_path / "rec" / name).write_text(out)
+    digest = hashlib.sha256()
+    for argv in _CLI_GROUPS[group]:
+        code, out, err = run(capsys, resolve(argv))
+        text = f"{code}\n{out}\n{err}".replace(str(tmp_path), "TMP")
+        digest.update(text.encode())
+    assert digest.hexdigest() == _PINNED_CLI_GROUPS[group]
+
+
 def test_gadget_input_flag_and_stdin(capsys, tmp_path, monkeypatch):
     # the graph comes from the positional path or, without one, from stdin;
     # there is no --input flag
@@ -597,6 +784,10 @@ def test_gadget_usage_errors(capsys, tmp_path):
         ["gadget", "build", "hub", str(path), "--h1", "2", "--h2", "1",
          "--avoid", "1,два"],
     )[0] == 2
+    # argparse lists the kinds in the order the parser declares them
+    code, out, err = run(capsys, ["gadget", "build", "widget", str(path)])
+    assert (code, out) == (2, "")
+    assert err.index("'hub'") < err.index("'unit'") < err.index("'adjuster'")
 
 
 # -- drc --------------------------------------------------------------------------
