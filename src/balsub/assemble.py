@@ -60,8 +60,9 @@ class Overrides:
     def __post_init__(self) -> None:
         if self.ell is not None and self.ell < 1:
             raise InvalidArgumentError("ell must be >= 1")
-        if self.target_k is not None and self.target_k < 0:
-            raise InvalidArgumentError("target_k must be >= 0")
+        # the smallest clique with a branch pair to subdivide is K_2
+        if self.target_k is not None and self.target_k < 2:
+            raise InvalidArgumentError("target_k must be >= 2")
         threshold = self.sparse_threshold
         if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
             raise InvalidArgumentError("sparse_threshold must be finite and >= 0")

@@ -202,25 +202,41 @@ def brute_force_subdivision(
     comps = [c for c in g.components() if len(c) >= need]
     everything = frozenset(g.vertices())
 
-    def fill(branch: tuple[int, ...], pair_idx: int, allowed: frozenset[int], acc: dict):
-        if pair_idx == len(all_pairs):
-            return SubdivisionCertificate.from_paths(ell, branch, dict(acc))
-        u, v = all_pairs[pair_idx]
-        for path in exact_paths(g, u, frozenset({v}), ell, allowed, spent, budget):
-            acc[(u, v)] = PathWitness(path)
-            found = fill(branch, pair_idx + 1, allowed - set(path), acc)
-            if found is not None:
-                return found
-            del acc[(u, v)]
-        return None
+    def fill(branch: tuple[int, ...]):
+        """The first choice of one path per branch pair, pairs in order,
+        each path inside what the earlier ones left: a depth-first search
+        on an explicit stack, one path generator per pair, since a branch
+        has C(k, 2) pairs."""
+        pairs = list(combinations(branch, 2))
+        room = [everything.difference(branch)]
+        paths: list[tuple[int, ...]] = []
+        searches = []
+        while len(paths) < len(pairs):
+            if len(searches) == len(paths):
+                u, v = pairs[len(paths)]
+                searches.append(
+                    exact_paths(g, u, frozenset({v}), ell, room[-1], spent, budget)
+                )
+            path = next(searches[-1], None)
+            if path is not None:
+                paths.append(path)
+                room.append(room[-1] - set(path))
+                continue
+            searches.pop()
+            if not searches:
+                return None
+            paths.pop()
+            room.pop()
+        return SubdivisionCertificate.from_paths(
+            ell, branch, {pair: PathWitness(p) for pair, p in zip(pairs, paths)}
+        )
 
     try:
         for comp in comps:
             # each branch vertex starts k-1 paths through distinct neighbours
             hubs = [v for v in comp if g.degree(v) >= k - 1]
             for branch in combinations(hubs, k):
-                all_pairs = list(combinations(branch, 2))
-                found = fill(branch, 0, everything.difference(branch), {})
+                found = fill(branch)
                 if found is not None:
                     require_verified(g, found)
                     return found

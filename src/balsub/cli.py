@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .assemble import Overrides, PipelineOutcome, RunConfig, top_level
 from .certify import SubdivisionCertificate, verify_subdivision
@@ -93,6 +93,15 @@ def _parse_avoid(raw: str | None) -> tuple[int, ...]:
 # -- serialization ------------------------------------------------------------
 
 
+def _read_record(kind: str, make: Callable[[], Any]) -> Any:
+    """`make()`, the gadget built from a JSON record, with the KeyError,
+    TypeError or ValueError of a malformed record as a usage error."""
+    try:
+        return make()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed {kind} record: {exc}") from exc
+
+
 def _report_dict(report: ValidationReport) -> dict:
     return {
         "passed": report.passed,
@@ -113,17 +122,14 @@ def _hub_dict(hub: Hub) -> dict:
 
 
 def _hub_from_dict(data: dict) -> Hub:
-    try:
-        return Hub(
-            int(data["center"]),
-            tuple(int(z) for z in data["first_layer"]),
-            tuple(
-                (int(z), tuple(int(s) for s in layer))
-                for z, layer in data["second_layers"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed hub record: {exc}") from exc
+    return _read_record("hub", lambda: Hub(
+        int(data["center"]),
+        tuple(int(z) for z in data["first_layer"]),
+        tuple(
+            (int(z), tuple(int(s) for s in layer))
+            for z, layer in data["second_layers"]
+        ),
+    ))
 
 
 def _unit_dict(unit: Unit) -> dict:
@@ -139,18 +145,12 @@ def _unit_dict(unit: Unit) -> dict:
 
 
 def _unit_from_dict(data: dict) -> Unit:
-    try:
-        return Unit(
-            int(data["core"]),
-            tuple(_hub_from_dict(h) for h in data["hubs"]),
-            tuple(
-                PathWitness(tuple(int(v) for v in spoke))
-                for spoke in data["spokes"]
-            ),
-            int(data["spoke_cap"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed unit record: {exc}") from exc
+    return _read_record("unit", lambda: Unit(
+        int(data["core"]),
+        tuple(_hub_from_dict(h) for h in data["hubs"]),
+        tuple(PathWitness(tuple(int(v) for v in spoke)) for spoke in data["spokes"]),
+        int(data["spoke_cap"]),
+    ))
 
 
 def _expansion_dict(f: Expansion) -> dict:
@@ -162,14 +162,11 @@ def _expansion_dict(f: Expansion) -> dict:
 
 
 def _expansion_from_dict(data: dict) -> Expansion:
-    try:
-        return Expansion(
-            int(data["anchor"]),
-            frozenset(int(v) for v in data["vertices"]),
-            int(data["radius"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed expansion record: {exc}") from exc
+    return _read_record("expansion", lambda: Expansion(
+        int(data["anchor"]),
+        frozenset(int(v) for v in data["vertices"]),
+        int(data["radius"]),
+    ))
 
 
 def _adjuster_dict(adj: Adjuster) -> dict:
@@ -188,58 +185,53 @@ def _adjuster_dict(adj: Adjuster) -> dict:
 
 
 def _adjuster_from_dict(data: dict) -> Adjuster:
-    try:
-        return Adjuster(
-            int(data["core1"]),
-            int(data["core2"]),
-            _expansion_from_dict(data["end1"]),
-            _expansion_from_dict(data["end2"]),
-            frozenset(int(v) for v in data["center"]),
-            int(data["base_length"]),
-            int(data["steps"]),
-            int(data["m"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed adjuster record: {exc}") from exc
+    return _read_record("adjuster", lambda: Adjuster(
+        int(data["core1"]),
+        int(data["core2"]),
+        _expansion_from_dict(data["end1"]),
+        _expansion_from_dict(data["end2"]),
+        frozenset(int(v) for v in data["center"]),
+        int(data["base_length"]),
+        int(data["steps"]),
+        int(data["m"]),
+    ))
+
+
+def _emit_failure(failure: BuildFailure, flags: dict) -> int:
+    _print_json({"failure": failure.reason, "detail": failure.detail, "flags": flags})
+    return 1
 
 
 # -- commands ------------------------------------------------------------------
 
 
-_FAMILY_ARITY = {
-    "gnp": 2,
-    "kdd": 2,
-    "hypercube": 1,
-    "cycle": 1,
-    "incidence_plane": 1,
-    "complete": 1,
+# family -> (generator, the types of its positional parameters); gnp also
+# takes the --seed it requires
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[type, ...]]] = {
+    "gnp": (gnp, (int, float)),
+    "kdd": (kdd, (int, int)),
+    "hypercube": (hypercube, (int,)),
+    "cycle": (cycle_graph, (int,)),
+    "incidence_plane": (incidence_plane, (int,)),
+    "complete": (complete_graph, (int,)),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family.replace("-", "_")
-    if family not in _FAMILY_ARITY:
+    if family not in _FAMILIES:
         return _fail_usage(f"unknown family {args.family!r}")
-    expected = _FAMILY_ARITY[family]
-    if len(args.params) != expected:
+    make, types = _FAMILIES[family]
+    if len(args.params) != len(types):
         return _fail_usage(
-            f"family {family} takes {expected} parameter(s), got {len(args.params)}"
+            f"family {family} takes {len(types)} parameter(s), got {len(args.params)}"
         )
+    seeded = family == "gnp"
+    if seeded and args.seed is None:
+        return _fail_usage("gnp is randomized; --seed is required")
     try:
-        if family == "gnp":
-            if args.seed is None:
-                return _fail_usage("gnp is randomized; --seed is required")
-            g = gnp(int(args.params[0]), float(args.params[1]), args.seed)
-        elif family == "kdd":
-            g = kdd(int(args.params[0]), int(args.params[1]))
-        elif family == "hypercube":
-            g = hypercube(int(args.params[0]))
-        elif family == "cycle":
-            g = cycle_graph(int(args.params[0]))
-        elif family == "incidence_plane":
-            g = incidence_plane(int(args.params[0]))
-        else:
-            g = complete_graph(int(args.params[0]))
+        params = [kind(raw) for kind, raw in zip(types, args.params)]
+        g = make(*params, args.seed) if seeded else make(*params)
     except (InvalidArgumentError, ValueError) as exc:
         return _fail_usage(str(exc))
     sys.stdout.write(to_edge_list(g))
@@ -278,11 +270,8 @@ def _outcome_failure_dict(outcome: PipelineOutcome) -> dict:
 def cmd_find(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.graph)
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail_usage(str(exc))
-    try:
         cfg = _config_from_args(args)
-    except InvalidArgumentError as exc:
+    except (InvalidArgumentError, OSError) as exc:
         return _fail_usage(str(exc))
     outcome = top_level(g, cfg)
     if args.trace:
@@ -382,54 +371,42 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
 
+# kind -> (the flags a build needs, builder, record writer, record reader,
+# validator); a builder takes the host, the avoid list, the flags' values in
+# order and c4_mode, which a unit does not have (--c4 only shows in its flags)
+_GADGETS = {
+    "hub": (("h1", "h2"), build_hub, _hub_dict, _hub_from_dict, validate_hub),
+    "unit": (
+        ("h0", "h1", "h2", "h3"),
+        lambda g, avoid, *sizes, c4_mode: build_unit(g, avoid, *sizes),
+        _unit_dict, _unit_from_dict, validate_unit,
+    ),
+    "adjuster": (
+        ("size", "m"), build_simple_adjuster, _adjuster_dict, _adjuster_from_dict,
+        validate_adjuster,
+    ),
+}
+
+
 def _gadget_build(
     g: Graph, args: argparse.Namespace, avoid: tuple[int, ...], flags: dict
 ) -> int:
-    result: Any
-    if args.kind == "hub":
-        if args.h1 is None or args.h2 is None:
-            return _fail_usage("hub build needs --h1 and --h2")
-        result = build_hub(g, avoid, args.h1, args.h2, c4_mode=args.c4)
-        if isinstance(result, Hub):
-            body = _hub_dict(result)
-            report = validate_hub(g, result)
-        else:
-            return _emit_build_failure(result, flags)
-    elif args.kind == "unit":
-        if None in (args.h0, args.h1, args.h2, args.h3):
-            return _fail_usage("unit build needs --h0, --h1, --h2 and --h3")
-        result = build_unit(g, avoid, args.h0, args.h1, args.h2, args.h3)
-        if isinstance(result, Unit):
-            body = _unit_dict(result)
-            report = validate_unit(g, result)
-        else:
-            return _emit_build_failure(result, flags)
-    elif args.kind == "adjuster":
-        if args.size is None or args.m is None:
-            return _fail_usage("adjuster build needs --size and --m")
-        result = build_simple_adjuster(g, avoid, args.size, args.m, c4_mode=args.c4)
-        if isinstance(result, Adjuster):
-            body = _adjuster_dict(result)
-            report = validate_adjuster(g, result)
-        else:
-            return _emit_build_failure(result, flags)
-    else:
-        return _fail_usage(f"unknown gadget kind {args.kind!r}")
+    names, build, write, _read, validate = _GADGETS[args.kind]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        options = [f"--{name}" for name in names]
+        return _fail_usage(
+            f"{args.kind} build needs {', '.join(options[:-1])} and {options[-1]}"
+        )
+    result = build(g, avoid, *values, c4_mode=args.c4)
+    if isinstance(result, BuildFailure):
+        return _emit_failure(result, flags)
+    body = write(result)
+    report = validate(g, result)
     body["report"] = _report_dict(report)
     body["flags"] = flags
     _print_json(body)
     return 0 if report.passed else 1
-
-
-def _emit_build_failure(failure: BuildFailure, flags: dict) -> int:
-    _print_json(
-        {
-            "failure": failure.reason,
-            "detail": failure.detail,
-            "flags": flags,
-        }
-    )
-    return 1
 
 
 def _gadget_check(g: Graph, args: argparse.Namespace, flags: dict) -> int:
@@ -439,14 +416,8 @@ def _gadget_check(g: Graph, args: argparse.Namespace, flags: dict) -> int:
         data = json.loads(_read_text(args.record))
     except (OSError, json.JSONDecodeError) as exc:
         return _fail_usage(str(exc))
-    if args.kind == "hub":
-        report = validate_hub(g, _hub_from_dict(data))
-    elif args.kind == "unit":
-        report = validate_unit(g, _unit_from_dict(data))
-    elif args.kind == "adjuster":
-        report = validate_adjuster(g, _adjuster_from_dict(data))
-    else:
-        return _fail_usage(f"unknown gadget kind {args.kind!r}")
+    _names, _build, _write, read, validate = _GADGETS[args.kind]
+    report = validate(g, read(data))
     body = _report_dict(report)
     body["flags"] = flags
     _print_json(body)
@@ -488,10 +459,7 @@ def cmd_drc(args: argparse.Namespace) -> int:
     except (InvalidArgumentError, EmptyGraphError) as exc:
         return _fail_usage(str(exc))
     if isinstance(result, BuildFailure):
-        _print_json(
-            {"failure": result.reason, "detail": result.detail, "flags": flags}
-        )
-        return 1
+        return _emit_failure(result, flags)
     _print_json({"a0": sorted(result), "size": len(result), "flags": flags})
     return 0
 
@@ -510,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit a graph family as an edge list")
     p_gen.add_argument(
         "family",
-        help="gnp | kdd | hypercube | cycle | incidence_plane | complete",
+        help=" | ".join(_FAMILIES),
     )
     p_gen.add_argument("params", nargs="*", help="family parameters")
     p_gen.add_argument("--seed", type=int, default=None)
@@ -548,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gad = sub.add_parser("gadget", help="build or check a structural gadget")
     p_gad.add_argument("action", choices=("build", "check"))
-    p_gad.add_argument("kind", choices=("hub", "unit", "adjuster"))
+    p_gad.add_argument("kind", choices=tuple(_GADGETS))
     p_gad.add_argument("graph", nargs="?", default="-")
     p_gad.add_argument("--h0", type=int, default=None)
     p_gad.add_argument("--h1", type=int, default=None)

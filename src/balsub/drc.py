@@ -117,31 +117,47 @@ def drc_select(
 def _middle_matching(
     g: Graph, branch: list[int]
 ) -> dict[tuple[int, int], int] | None:
-    """Assign a distinct middle vertex to every branch pair (Kuhn)."""
-    branch_set = set(branch)
+    """Assign a distinct middle vertex to every branch pair (Kuhn).
+
+    Each pair tries its common neighbours off the branch in increasing id,
+    and one `banned` mask is shared by the whole search for an augmenting
+    path.  The path is followed on an explicit stack, one frame per pair
+    on it: in a clique each new pair can shift every earlier one, so the
+    path can hold all C(k, 2) pairs.
+    """
+    masks = g.neighbor_masks()
+    bmask = 0
+    for b in branch:
+        bmask |= 1 << b
     pairs = list(combinations(sorted(branch), 2))
-    cands: dict[tuple[int, int], list[int]] = {}
+    cands: dict[tuple[int, int], int] = {}
     for u, v in pairs:
-        overlap = sorted(
-            set(g.neighbors(u)) & set(g.neighbors(v)) - branch_set
-        )
-        if not overlap:
+        cands[(u, v)] = masks[u] & masks[v] & ~bmask
+        if not cands[(u, v)]:
             return None
-        cands[(u, v)] = overlap
     owner: dict[int, tuple[int, int]] = {}
-
-    def assign(pair: tuple[int, int], banned: set[int]) -> bool:
-        for m in cands[pair]:
-            if m in banned:
-                continue
-            banned.add(m)
-            if m not in owner or assign(owner[m], banned):
-                owner[m] = pair
-                return True
-        return False
-
     for pair in pairs:
-        if not assign(pair, set()):
+        banned = 0
+        # frames of [pair, the middle it is trying]; a pair's untried
+        # candidates are the unbanned ones, since each one tried is banned
+        stack = [[pair, -1]]
+        while stack:
+            frame = stack[-1]
+            left = cands[frame[0]] & ~banned
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            banned |= low
+            frame[1] = m = low.bit_length() - 1
+            if m in owner:
+                stack.append([owner[m], -1])
+                continue
+            # m is free: every pair on the stack takes the middle it tried
+            for held, middle in stack:
+                owner[middle] = held
+            break
+        else:
             return None
     return {pair: m for m, pair in owner.items()}
 

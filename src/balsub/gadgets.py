@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .connect import PathWitness, check_path, path_within, short_connect
-from .graph import Graph, bipartite_half, core_levels
+from .graph import Graph, _members, bipartite_half, core_levels
 from .outcomes import (
     BuildFailure,
     Clause,
@@ -101,16 +101,6 @@ def validate_hub(g: Graph, hub: Hub) -> ValidationReport:
     return ValidationReport(tuple(clauses))
 
 
-def _low_bits(mask: int, count: int) -> list[int]:
-    """The `count` least vertex ids set in `mask` (fewer if it has fewer)."""
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
-
-
 def _greedy_hub_at(
     g: Graph, inside: int, center: int, h1: int, h2: int, c4_mode: bool
 ) -> Hub | None:
@@ -129,7 +119,7 @@ def _greedy_hub_at(
     masks = g.neighbor_masks()
     pool = masks[center] & inside
     while pool.bit_count() >= h1:
-        chosen = _low_bits(pool, h1)
+        chosen = _members(pool, h1)
         b1 = 1 << center
         for z in chosen:
             b1 |= 1 << z
@@ -141,7 +131,7 @@ def _greedy_hub_at(
             avail = masks[z] & free
             if not c4_mode:
                 avail &= ~used
-            take = _low_bits(avail, h2)
+            take = _members(avail, h2)
             if len(take) < h2:
                 bad = z
                 break
@@ -159,7 +149,7 @@ def _greedy_hub_at(
         pool ^= 1 << bad
         if not c4_mode:
             reach = 0
-            for z in _low_bits(pool, pool.bit_count()):
+            for z in _members(pool):
                 reach |= masks[z]
             if (reach & inside & ~(1 << center)).bit_count() < h1 * h2:
                 return None
@@ -207,7 +197,7 @@ def build_hub(
             continue
         centers = inside
         while centers:
-            [center] = _low_bits(centers, 1)
+            [center] = _members(centers, 1)
             centers ^= 1 << center
             found = _greedy_hub_at(g, inside, center, h1, h2, c4_mode)
             if found is not None:

@@ -265,10 +265,14 @@ def external_neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _members(mask: int) -> list[int]:
-    """The vertex ids set in `mask`, in increasing order."""
+def _members(mask: int, limit: int | None = None) -> list[int]:
+    """The vertex ids set in `mask`, in increasing order; only the `limit`
+    least of them when a limit is given."""
+    count = mask.bit_count()
+    if limit is not None and limit < count:
+        count = limit
     out = []
-    while mask:
+    for _ in range(count):
         low = mask & -mask
         mask ^= low
         out.append(low.bit_length() - 1)

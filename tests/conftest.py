@@ -1,3 +1,9 @@
+import inspect
+import sys
+from contextlib import contextmanager
+
+import pytest
+
 _ACCEPTANCE_LABELS = {
     "test_ac1_two_block_hosts": "AC-1 two-block extremal hosts",
     "test_ac2_dense_fallback": "AC-2 dense two-subdivision fallback",
@@ -20,3 +26,22 @@ def pytest_runtest_logreport(report):
     if label is not None:
         verdict = "pass" if report.passed else "fail"
         print(f"\n{label}: {verdict}", flush=True)
+
+
+@pytest.fixture
+def shallow_stack():
+    """A context manager that allows only 150 frames beyond its caller's
+    depth, restoring the limit after: a search that recurses once per
+    branch pair of a large clique overruns it, one with a bounded depth
+    does not."""
+
+    @contextmanager
+    def shallow():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old)
+
+    return shallow

@@ -92,13 +92,10 @@ def test_desk_unit_parameters_follow_target_k():
         complete_graph(10), RunConfig(overrides=Overrides(target_k=3)), trace
     )
     assert trace.entries[0] == "desk unit parameters: target_k=3 (h0,h1,h2,h3)=(2,1,1,2) ell=None"
-    # an explicit zero is a setting, not an unset value: no unit is built
-    trace = PipelineTrace()
-    out = find_balanced_subdivision(
-        complete_graph(10), RunConfig(overrides=Overrides(target_k=0)), trace
-    )
-    assert isinstance(out, BuildFailure) and out.reason == "no_units"
-    assert trace.entries[0].startswith("desk unit parameters: target_k=0 ")
+    # no TK_k exists below k = 2, so such a target is refused up front
+    for target_k in (-1, 0, 1):
+        with pytest.raises(InvalidArgumentError, match="target_k must be >= 2"):
+            Overrides(target_k=target_k)
 
 
 def test_component_k_cap():

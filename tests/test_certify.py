@@ -1,7 +1,9 @@
 """Certificates, the subdivision verifier, and the exhaustive oracles."""
 
 import json
+import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,6 +16,8 @@ from balsub.certify import (
     brute_force_subdivision,
     verify_subdivision,
 )
+from balsub.outcomes import SearchBudgetExceeded
+from balsub.router import exact_paths
 from balsub.connect import PathWitness
 from balsub.generators import (
     complete_bipartite,
@@ -246,6 +250,60 @@ def test_brute_force_long_paths_do_not_recurse():
     cert = brute_force_subdivision(g, 2, 1099)
     assert isinstance(cert, SubdivisionCertificate)
     assert cert.pair_paths[0][1].vertices == tuple(range(1100))
+
+
+def test_brute_force_pair_search_does_not_recurse(shallow_stack):
+    # K30 at ell = 1 is one branch set of C(30, 2) = 435 pairs
+    g = complete_graph(30)
+    with shallow_stack():
+        cert = brute_force_subdivision(g, 30, 1)
+    assert isinstance(cert, SubdivisionCertificate)
+    assert verify_subdivision(g, cert).passed
+
+
+def _recursive_brute_force(g, k, ell, budget):
+    """`brute_force_subdivision` as it was, recursing once per pair."""
+    spent = [0]
+    need = k + comb(k, 2) * (ell - 1)
+    everything = frozenset(g.vertices())
+
+    def fill(pairs, branch, i, allowed, acc):
+        if i == len(pairs):
+            return SubdivisionCertificate.from_paths(ell, branch, dict(acc))
+        u, v = pairs[i]
+        for path in exact_paths(g, u, frozenset({v}), ell, allowed, spent, budget):
+            acc[(u, v)] = PathWitness(path)
+            found = fill(pairs, branch, i + 1, allowed - set(path), acc)
+            if found is not None:
+                return found
+            del acc[(u, v)]
+        return None
+
+    try:
+        for comp in [c for c in g.components() if len(c) >= need]:
+            hubs = [v for v in comp if g.degree(v) >= k - 1]
+            for branch in combinations(hubs, k):
+                pairs = list(combinations(branch, 2))
+                found = fill(pairs, branch, 0, everything.difference(branch), {})
+                if found is not None:
+                    return found
+    except SearchBudgetExceeded:
+        return BudgetExhausted(spent[0])
+    return NotFound()
+
+
+def test_brute_force_matches_the_recursive_search():
+    # same certificate, same refutation, same nodes spent on a cut search
+    rng = random.Random(15)
+    tally = {SubdivisionCertificate: 0, NotFound: 0, BudgetExhausted: 0}
+    for case in range(300):
+        g = gnp(rng.randint(5, 10), rng.choice((0.3, 0.5, 0.7)), case)
+        k, ell = rng.randint(2, 4), rng.randint(1, 3)
+        budget = rng.choice((5, 20, 10**6))
+        want = _recursive_brute_force(g, k, ell, budget)
+        assert brute_force_subdivision(g, k, ell, budget) == want, case
+        tally[type(want)] += 1
+    assert min(tally.values()) >= 25, tally
 
 
 def test_brute_force_deterministic():

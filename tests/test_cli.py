@@ -180,7 +180,7 @@ def test_find_rejects_removed_overrides(capsys, tmp_path):
         ("--epsilon2", ["0", "-1", "nan", "inf"]),
         ("--override-ell", ["0", "-2"]),
         ("--node-budget", ["-1"]),
-        ("--target-k", ["-1"]),
+        ("--target-k", ["-1", "0", "1"]),
         ("--exhaustive-cap", ["-1"]),
         ("--sparse-threshold", ["nan", "-1", "inf"]),
     ],

@@ -17,6 +17,7 @@ from balsub.certify import SubdivisionCertificate, best_k_at_ell, verify_subdivi
 from balsub.drc import (
     DrcParams,
     _drc_reorder,
+    _middle_matching,
     dense_tk2,
     drc_feasible,
     drc_select,
@@ -296,6 +297,70 @@ def test_dense_embedding_middles_distinct():
         assert len(set(middles)) == len(middles)
         assert not set(middles) & set(cert.branch)
         assert verify_subdivision(g, cert).passed
+
+
+def _recursive_middle_matching(g, branch):
+    """`_middle_matching` as it was, recursing along each augmenting path."""
+    branch_set = set(branch)
+    pairs = list(combinations(sorted(branch), 2))
+    cands = {}
+    for u, v in pairs:
+        overlap = sorted(set(g.neighbors(u)) & set(g.neighbors(v)) - branch_set)
+        if not overlap:
+            return None
+        cands[(u, v)] = overlap
+    owner = {}
+
+    def assign(pair, banned):
+        for m in cands[pair]:
+            if m in banned:
+                continue
+            banned.add(m)
+            if m not in owner or assign(owner[m], banned):
+                owner[m] = pair
+                return True
+        return False
+
+    for pair in pairs:
+        if not assign(pair, set()):
+            return None
+    return {pair: m for m, pair in owner.items()}
+
+
+def test_middle_matching_matches_the_recursive_oracle():
+    # the same matching, in the same order, on 600 random (host, branch)
+    # cases; dense hosts make later pairs move earlier pairs' middles
+    rng = random.Random(15)
+    matched = refused = 0
+    for case in range(600):
+        n = rng.randint(4, 20)
+        shape = case % 3
+        if shape == 0:
+            g = gnp(n, rng.choice((0.4, 0.6, 0.8, 0.95)), case)
+        elif shape == 1:
+            g = bipartite_gnp(n // 2, n - n // 2, rng.choice((0.6, 0.9)), case)[0]
+        else:
+            g = complete_graph(n)
+        branch = rng.sample(range(n), rng.randint(2, min(6, n)))
+        want = _recursive_middle_matching(g, branch)
+        got = _middle_matching(g, branch)
+        if want is None:
+            assert got is None, case
+            refused += 1
+        else:
+            assert list(got.items()) == list(want.items()), case
+            matched += 1
+    assert matched >= 150 and refused >= 150
+
+
+def test_middle_matching_does_not_recurse(shallow_stack):
+    # in a clique each new branch pair shifts every earlier pair's middle,
+    # so an augmenting path holds up to all C(24, 2) = 276 pairs
+    g = complete_graph(300)
+    with shallow_stack():
+        cert = dense_tk2(g, 24)
+    assert isinstance(cert, SubdivisionCertificate)
+    assert verify_subdivision(g, cert).passed
 
 
 def _disjoint_union(*graphs):

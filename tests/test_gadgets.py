@@ -314,10 +314,10 @@ def _count_calls(monkeypatch, name, work, key):
 def test_core_numbers_and_build_hub_match_the_list_oracles(monkeypatch):
     """`build_hub` returns what the list oracles return, and does exactly
     the work left after both counting bounds: as many centre scans and
-    mask picks (`_low_bits` calls) as the oracles tally."""
+    mask picks (`_members` calls) as the oracles tally."""
     done = Counter()
     _count_calls(monkeypatch, "_greedy_hub_at", done, "centres")
-    _count_calls(monkeypatch, "_low_bits", done, "picks")
+    _count_calls(monkeypatch, "_members", done, "picks")
     fired = Counter()
 
     def check(g, avoid, h1, h2, c4_mode):

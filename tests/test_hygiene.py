@@ -217,3 +217,57 @@ def test_only_graph_py_builds_unchecked_graphs():
         if (lines := attribute_reads(path.read_text(encoding="utf-8"), "_of"))
     }
     assert found == {}
+
+
+def self_calls(source: str) -> list[str]:
+    """Module-level and nested functions that call themselves by name.
+    Methods are left out: a call by a method's own name reads a module-level
+    name or a builtin (`PathWitness.reversed` calls `reversed`), not the
+    method."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not in_class and any(
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Name)
+                    and sub.func.id == child.name
+                    for sub in ast.walk(child)
+                ):
+                    found.append(child.name)
+                visit(child, False)
+            else:
+                visit(child, isinstance(child, ast.ClassDef) or in_class)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_self_calls_are_flagged():
+    source = (
+        "def walk(n):\n    return walk(n - 1) if n else 0\n"
+        "def outer():\n    def inner(n):\n        return inner(n - 1)\n    return inner\n"
+        "def flat(xs):\n    return sorted(xs)\n"
+        "class Path:\n    def reversed(self):\n        return reversed(self.xs)\n"
+        "    def again(self):\n        return self.again()\n"
+        "    def helper(self):\n        def step(n):\n            return step(n)\n"
+    )
+    assert self_calls(source) == ["walk", "inner", "step"]
+
+
+# The one recursive function allowed: `dense_tk2`'s `extend` goes one level
+# deeper per branch vertex, and a TK_k^(2) needs k + C(k, 2) <= n vertices,
+# so its depth is at most k <= sqrt(2n), far inside the recursion limit.
+# Every other search keeps an explicit stack, since its depth grows with the
+# input (one frame per branch pair or per path vertex).
+_RECURSION_ALLOWED = {"drc.py": ["extend"]}
+
+
+def test_no_function_in_the_package_calls_itself():
+    found = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (calls := self_calls(path.read_text(encoding="utf-8")))
+    }
+    assert found == _RECURSION_ALLOWED
