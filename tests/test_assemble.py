@@ -26,10 +26,14 @@ from balsub.assemble import (
 from balsub.assemble import _component_k_cap
 from balsub.certify import SubdivisionCertificate, verify_subdivision
 from balsub.generators import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
+    gnp,
+    hypercube,
     incidence_plane,
     kdd,
+    path_graph,
 )
 from balsub.graph import Graph
 from balsub.outcomes import BuildFailure, InvalidArgumentError
@@ -222,6 +226,59 @@ def test_unit_route_certificates_are_pinned(n):
     doc = {"certificate": out.certificate.to_json_dict(), "entries": list(out.trace.entries)}
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == _PINNED_UNIT_ROUTE[n]
+
+
+# The same digest for the `dense_sweep` hosts and the paper-mode
+# `small_exhaustive` hosts of the benchmark at seed 1.  The G(n, p) seeds
+# are the ones `random.Random("<workload>/1")` draws for those hosts.
+_PINNED_WORKLOAD_HOSTS = {
+    "hypercube(8)": (
+        lambda: hypercube(8), {},
+        "dc26e106b7d1ddf68e382451f842a7605dd03767ed542b42ac22ff43975652d9",
+    ),
+    "kdd(20,3)": (
+        lambda: kdd(20, 3), {},
+        "fb98277bc99fb26467539e904161306dd144b7a50eac4317639957c00800853a",
+    ),
+    "incidence_plane(5)": (
+        lambda: incidence_plane(5), {"kappa_rule": "linear"},
+        "7c1708d30d212d67bde669e55ed81c713c1a85136a3f7a066111b33b96988007",
+    ),
+    "complete_bipartite(14,14)": (
+        lambda: complete_bipartite(14, 14), {},
+        "fbd913f147473e89b055d8c68311d498534d222f089bc3e66c2c15fc27d5da93",
+    ),
+    "gnp(50,0.3)": (
+        lambda: gnp(50, 0.3, 1475198904), {},
+        "e8ae79a60578e4bc819f8b9eba6b58d4b40c8306d8c1ea9fd1ef22e185dbaeb1",
+    ),
+    "paper cycle_graph(12)": (
+        lambda: cycle_graph(12), {"mode": "paper"},
+        "73bd1a5e3ecbc2371bedf5e5514232337d4dfed26ee483eec07dca8356abd5d2",
+    ),
+    "paper path_graph(12)": (
+        lambda: path_graph(12), {"mode": "paper"},
+        "8a3b54ae90c6849130b892d1968a36d328f63f989f6929a78c3e1053f13a70aa",
+    ),
+    "paper hypercube(3)": (
+        lambda: hypercube(3), {"mode": "paper"},
+        "8995e9cfc3adf213e9d07fdca432bd5859af04c432b294cdd6b4b86f5f79ed0c",
+    ),
+    "paper gnp(12,0.45)": (
+        lambda: gnp(12, 0.45, 876077723), {"mode": "paper"},
+        "1e31f637459317fd6ee87fe2fd48fceaa6d9af40c8a952e3e3e0f096ccce49b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_WORKLOAD_HOSTS))
+def test_dense_and_paper_mode_certificates_are_pinned(name):
+    make, config, want = _PINNED_WORKLOAD_HOSTS[name]
+    out = top_level(make(), RunConfig(seed=1, **config))
+    assert out.certificate is not None
+    doc = {"certificate": out.certificate.to_json_dict(), "entries": list(out.trace.entries)}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == want
 
 
 # Runs under `python -O`, which strips assert statements: with verification
