@@ -9,27 +9,12 @@ through the command line (`balsub gadget ...`).
 
 from balsub.gadgets import (
     build_hub,
-    build_octopus,
     build_simple_adjuster,
     build_unit,
     grow_expansion,
-    link_adjusters,
     validate_adjuster,
-    validate_octopus,
 )
 from balsub.generators import complete_bipartite, cycle_graph
-from balsub.graph import Graph
-
-
-def c6_star(blocks):
-    """Disjoint hexagons, each arm block bridged to vertex 2 of block 0."""
-    edges = []
-    for b in range(blocks):
-        base = 6 * b
-        edges += [(base + i, base + (i + 1) % 6) for i in range(6)]
-        if b:
-            edges.append((2, base))
-    return Graph(6 * blocks, edges)
 
 
 if __name__ == "__main__":
@@ -56,22 +41,3 @@ if __name__ == "__main__":
     print(f"  length menu between the cores: {list(adj.menu())}")
     print(f"  validator: passed={validate_adjuster(hexagon, adj).passed}")
 
-    print("\n== linking: menus add, one step at a time ==")
-    two = c6_star(2)
-    a1 = build_simple_adjuster(two, [v for v in two.vertices() if v >= 6], 1, 1)
-    a2 = build_simple_adjuster(two, [v for v in two.vertices() if v < 6], 1, 1)
-    linked = link_adjusters(two, a1, a2)
-    print(f"  {list(a1.menu())} + {list(a2.menu())} -> {list(linked.menu())}")
-    print(f"  validator: passed={validate_adjuster(two, linked).passed}")
-
-    print("\n== octopus: one adjuster end reaching three arms ==")
-    star = c6_star(4)
-    pool = []
-    for b in range(4):
-        avoid = [v for v in star.vertices() if not (6 * b <= v < 6 * b + 6)]
-        pool.append(build_simple_adjuster(star, avoid, 1, 1))
-    octo = build_octopus(star, pool, (), 3, 1)
-    print(f"  arms attached at end {octo.attached_end} of the core adjuster:")
-    for path in octo.arm_paths:
-        print(f"    arm path {path.vertices}")
-    print(f"  validator: passed={validate_octopus(star, octo).passed}")

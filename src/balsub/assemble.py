@@ -173,6 +173,8 @@ def find_balanced_subdivision(
     if g.n == 0:
         return BuildFailure("no_units", "empty host", partial=trace)
 
+    ov = cfg.overrides
+    ell = ov.ell
     if cfg.mode == "paper":
         d = average_degree(g)
         consts = derive_config(g.n, max(float(d), 1e-9), cfg)
@@ -180,17 +182,17 @@ def find_balanced_subdivision(
         h0 = max(1, math.floor(consts.c * consts.kappa))
         h1 = h2 = consts.m**4
         h3 = 2 * consts.m
-        ell: Optional[int] = consts.ell
+        pinned = " (pinned)" if ell is not None else ""
+        if ell is None:
+            ell = consts.ell
         trace.add(
             f"paper constants: kappa={consts.kappa:.6f} m={consts.m} "
-            f"D={consts.big_d:.6f} ell={consts.ell}"
+            f"D={consts.big_d:.6f} ell={ell}{pinned}"
         )
     else:
-        ov = cfg.overrides
         target_k = ov.target_k if ov.target_k is not None else desk_target_k(g.n)
         # single-branch hubs of shape (1, 1) with spokes of length at most 2
         h0, h1, h2, h3 = max(1, target_k - 1), 1, 1, 2
-        ell = ov.ell
         trace.add(
             f"desk unit parameters: target_k={target_k} "
             f"(h0,h1,h2,h3)=({h0},{h1},{h2},{h3}) ell={ell}"

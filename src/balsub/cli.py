@@ -342,16 +342,18 @@ def cmd_expander(args: argparse.Namespace) -> int:
     return 0 if verdict.status != "refuted" else 1
 
 
-def _gadget_flags(args: argparse.Namespace) -> dict:
+def _gadget_flags(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
+    """The flags the gadget kind reads, `names` from `_GADGETS`."""
     flags = {
         "action": args.action,
         "gadget": args.kind,
         "avoid": sorted(_parse_avoid(args.avoid)),
-        "c4": bool(args.c4),
     }
-    for name in ("h0", "h1", "h2", "h3", "size", "m"):
-        value = getattr(args, name, None)
-        if value is not None:
+    if "c4" in names:
+        flags["c4"] = args.c4
+    for name in names:
+        value = getattr(args, name)
+        if name != "c4" and value is not None:
             flags[name] = value
     return flags
 
@@ -362,7 +364,10 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         avoid = _parse_avoid(args.avoid)
     except (InvalidArgumentError, OSError) as exc:
         return _fail_usage(str(exc))
-    flags = _gadget_flags(args)
+    names = _GADGETS[args.kind][0]
+    if args.c4 and "c4" not in names:
+        return _fail_usage(f"a {args.kind} takes no --c4")
+    flags = _gadget_flags(args, names)
     try:
         if args.action == "build":
             return _gadget_build(g, args, avoid, flags)
@@ -371,19 +376,18 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
 
 
-# kind -> (the flags a build needs, builder, record writer, record reader,
-# validator); a builder takes the host, the avoid list, the flags' values in
-# order and c4_mode, which a unit does not have (--c4 only shows in its flags)
+# kind -> (the flags a build reads, in the builder's parameter order after
+# the host and the avoid list; builder; record writer; record reader;
+# validator)
 _GADGETS = {
-    "hub": (("h1", "h2"), build_hub, _hub_dict, _hub_from_dict, validate_hub),
+    "hub": (("h1", "h2", "c4"), build_hub, _hub_dict, _hub_from_dict, validate_hub),
     "unit": (
-        ("h0", "h1", "h2", "h3"),
-        lambda g, avoid, *sizes, c4_mode: build_unit(g, avoid, *sizes),
-        _unit_dict, _unit_from_dict, validate_unit,
+        ("h0", "h1", "h2", "h3"), build_unit, _unit_dict, _unit_from_dict,
+        validate_unit,
     ),
     "adjuster": (
-        ("size", "m"), build_simple_adjuster, _adjuster_dict, _adjuster_from_dict,
-        validate_adjuster,
+        ("size", "m", "c4"), build_simple_adjuster, _adjuster_dict,
+        _adjuster_from_dict, validate_adjuster,
     ),
 }
 
@@ -394,11 +398,11 @@ def _gadget_build(
     names, build, write, _read, validate = _GADGETS[args.kind]
     values = [getattr(args, name) for name in names]
     if None in values:
-        options = [f"--{name}" for name in names]
+        options = [f"--{name}" for name in names if name != "c4"]
         return _fail_usage(
             f"{args.kind} build needs {', '.join(options[:-1])} and {options[-1]}"
         )
-    result = build(g, avoid, *values, c4_mode=args.c4)
+    result = build(g, avoid, *values)
     if isinstance(result, BuildFailure):
         return _emit_failure(result, flags)
     body = write(result)

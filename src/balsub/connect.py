@@ -1,9 +1,8 @@
 """Short paths inside expanders: diameter-style bounds, robustness budgets,
 and deterministic set-to-set connection.
 
-`short_connect` is the library's one shortest-path search: the spokes,
-bridges and arms of the gadget layer call it directly, and `path_within`
-wraps it for a path confined to a region.  Plain distances come from
+`short_connect` is the library's one shortest-path search: the unit spokes
+of the gadget layer call it directly.  Plain distances come from
 `Graph.bfs_distances`.
 """
 
@@ -120,13 +119,3 @@ def short_connect(
         frontier = sorted(set(nxt))
     return None
 
-
-def path_within(g: Graph, region: Iterable[int], a: int, b: int) -> list[int] | None:
-    """Shortest a,b-path inside G[region + {a, b}], or None.  Built on
-    `short_connect`, so each vertex's predecessor is its least-id neighbour
-    one layer nearer `a`."""
-    if a == b:
-        return [a]
-    outside = frozenset(g.vertices()).difference(region, (a, b))
-    hit = short_connect(g, [a], [b], outside)
-    return None if hit is None else list(hit.vertices)

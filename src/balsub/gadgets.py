@@ -1,16 +1,14 @@
-"""Structural gadgets: hubs, units, expansions, adjusters, and octopuses.
+"""Structural gadgets: hubs, units, expansions and adjusters.
 
 These are the building blocks assembled into balanced subdivisions.  Every
 gadget has a builder returning the record or a BuildFailure, and a
 validator that recomputes each definitional clause from raw adjacency.
 
 Distances (growing and checking an expansion) come from
-`Graph.bfs_distances`, and shortest paths (spokes, bridges, arms, and the
-tail inside an expansion) from `connect.short_connect` and
-`connect.path_within`.  `_shortest_cycle` keeps its own BFS.  Hubs are
-built on vertex masks: the cores are `graph.core_levels` masks, and counts
-of vertices settle hopeless cores, centres and lean unit passes without a
-search.
+`Graph.bfs_distances`, and spokes from `connect.short_connect`.
+`_shortest_cycle` keeps its own BFS.  Hubs are built on vertex masks: the
+cores are `graph.core_levels` masks, and counts of vertices settle hopeless
+cores, centres and lean unit passes without a search.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .connect import PathWitness, check_path, path_within, short_connect
+from .connect import PathWitness, check_path, short_connect
 from .graph import Graph, _members, bipartite_half, core_levels
 from .outcomes import (
     BuildFailure,
@@ -583,9 +581,6 @@ class Adjuster:
     def menu(self) -> tuple[int, ...]:
         return tuple(self.base_length + 2 * i for i in range(self.steps + 1))
 
-    def all_vertices(self) -> frozenset[int]:
-        return self.center | self.end1.vertices | self.end2.vertices
-
 
 # the largest region G[A + cores], in vertices, whose menu is checked
 _MENU_CHECK_CAP = 26
@@ -779,194 +774,4 @@ def build_simple_adjuster(
         base_length=r - 1,
         steps=1,
         m=m,
-    )
-
-
-def link_adjusters(
-    g: Graph,
-    first: Adjuster,
-    second: Adjuster,
-    avoid: Iterable[int] = (),
-) -> Adjuster | BuildFailure:
-    """Join two vertex-disjoint adjusters into one whose step count adds.
-
-    A shortest path between their end expansions is extended through the
-    two touched ends to a core-to-core bridge; the bridged part joins the
-    center, and the two untouched ends become the ends of the result.
-    """
-    if first.steps < 1 or second.steps < 1:
-        raise InvalidArgumentError("degenerate adjusters with no steps cannot be linked")
-    avoid_set = g.check_subset(avoid)
-    if first.all_vertices() & second.all_vertices():
-        raise InvalidArgumentError("adjusters must be vertex-disjoint")
-    if avoid_set & (first.all_vertices() | second.all_vertices()):
-        raise InvalidArgumentError("avoid set overlaps an adjuster")
-
-    a_ends = sorted(first.end1.vertices | first.end2.vertices)
-    b_ends = sorted(second.end1.vertices | second.end2.vertices)
-    bridge = short_connect(
-        g, a_ends, b_ends, (avoid_set | first.center | second.center)
-    )
-    if bridge is None:
-        return BuildFailure("disconnected", "end expansions cannot reach each other")
-    hit_a, hit_b = bridge.vertices[0], bridge.vertices[-1]
-    touched_a = first.end1 if hit_a in first.end1.vertices else first.end2
-    spare_a = first.end2 if touched_a is first.end1 else first.end1
-    touched_b = second.end1 if hit_b in second.end1.vertices else second.end2
-    spare_b = second.end2 if touched_b is second.end1 else second.end1
-
-    tail_a = path_within(g, touched_a.vertices, touched_a.anchor, hit_a)
-    tail_b = path_within(g, touched_b.vertices, touched_b.anchor, hit_b)
-    if tail_a is None or tail_b is None:
-        return BuildFailure("disconnected", "an end expansion is not internally connected")
-    bridge_path = tail_a[::-1] + list(bridge.vertices[1:-1]) + tail_b
-    center = first.center | second.center | set(bridge_path)
-    return Adjuster(
-        core1=spare_a.anchor,
-        core2=spare_b.anchor,
-        end1=spare_a,
-        end2=spare_b,
-        center=frozenset(center),
-        base_length=first.base_length
-        + second.base_length
-        + len(bridge_path) - 1,
-        steps=first.steps + second.steps,
-        m=max(first.m, second.m),
-    )
-
-
-# -- octopuses ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Octopus:
-    """A core adjuster whose chosen end reaches several disjoint arm
-    adjusters through a minimal family of short paths."""
-
-    core: Adjuster
-    attached_end: int  # 1 or 2
-    arms: tuple[Adjuster, ...]
-    arm_paths: tuple[PathWitness, ...]
-    arm_cap: int
-
-    def reach(self) -> Expansion:
-        return self.core.end1 if self.attached_end == 1 else self.core.end2
-
-
-def validate_octopus(g: Graph, octo: Octopus) -> ValidationReport:
-    clauses: list[Clause] = []
-    reach = octo.reach().vertices
-    core_verts = octo.core.all_vertices()
-    seen: set[int] = set(core_verts)
-    arms_disjoint = True
-    for arm in octo.arms:
-        verts = arm.all_vertices()
-        if verts & seen:
-            arms_disjoint = False
-        seen |= verts
-    clauses.append(Clause("arms_disjoint", arms_disjoint))
-
-    centers: set[int] = set(octo.core.center)
-    for arm in octo.arms:
-        centers |= arm.center
-    paths_ok = len(octo.arm_paths) <= len(octo.arms)
-    attach_count = [0] * len(octo.arms)
-    for p in octo.arm_paths:
-        if not check_path(g, p) or p.length > octo.arm_cap:
-            paths_ok = False
-        if p.vertices[0] not in reach:
-            paths_ok = False
-        hit = False
-        for i, arm in enumerate(octo.arms):
-            if p.vertices[-1] in arm.end1.vertices | arm.end2.vertices:
-                attach_count[i] += 1
-                hit = True
-                break
-        if not hit:
-            paths_ok = False
-        if set(p.vertices) & centers:
-            paths_ok = False
-    clauses.append(Clause("paths_valid", paths_ok))
-    # internally vertex-disjoint: no vertex of one path is interior to another
-    disjoint_paths = True
-    for i, p in enumerate(octo.arm_paths):
-        for q in octo.arm_paths[i + 1:]:
-            if set(p.interior()) & set(q.vertices):
-                disjoint_paths = False
-            if set(q.interior()) & set(p.vertices):
-                disjoint_paths = False
-    clauses.append(Clause("paths_disjoint", disjoint_paths))
-    clauses.append(
-        Clause("every_arm_attached", all(c >= 1 for c in attach_count))
-    )
-    clauses.append(
-        Clause(
-            "family_minimal",
-            len(octo.arm_paths) <= len(octo.arms)
-            and all(c == 1 for c in attach_count),
-        )
-    )
-    return ValidationReport(tuple(clauses))
-
-
-def build_octopus(
-    g: Graph,
-    pool: list[Adjuster],
-    avoid: Iterable[int],
-    r3: int,
-    r4: int,
-) -> Octopus | BuildFailure:
-    """Attach r3 arms from a pool of disjoint adjusters to one end of the
-    pool's first adjuster by short disjoint paths avoiding every center."""
-    if r3 < 0 or r4 < 1:
-        raise InvalidArgumentError("need r3 >= 0 and r4 >= 1")
-    if not pool:
-        raise InvalidArgumentError("pool must contain a core adjuster")
-    if r3 > len(pool) - 1:
-        return BuildFailure(
-            "arms_stalled", f"pool offers {len(pool) - 1} arms, need {r3}"
-        )
-    avoid_set = g.check_subset(avoid)
-    core = pool[0]
-    centers: set[int] = set()
-    all_pool: set[int] = set()
-    for adj in pool:
-        centers |= adj.center
-        centers |= {adj.core1, adj.core2}
-        all_pool |= adj.all_vertices()
-
-    best: Octopus | None = None
-    for attached_end in (1, 2):
-        reach = core.end1 if attached_end == 1 else core.end2
-        arms: list[Adjuster] = []
-        paths: list[PathWitness] = []
-        # paths only need to be internally disjoint, so endpoints may repeat
-        family_vertices: set[int] = set()
-        family_interiors: set[int] = set()
-        for target in pool[1:]:
-            if len(arms) == r3:
-                break
-            target_ends = target.end1.vertices | target.end2.vertices
-            a_side = reach.vertices - family_interiors - avoid_set
-            b_side = target_ends - family_interiors - avoid_set
-            if not a_side or not b_side:
-                continue
-            foreign = (all_pool - reach.vertices - target_ends) | centers
-            blocked = (avoid_set | family_vertices | foreign) - a_side - b_side
-            p = short_connect(g, sorted(a_side), sorted(b_side), blocked, cap=r4)
-            if p is None:
-                continue
-            arms.append(target)
-            paths.append(p)
-            family_vertices |= set(p.vertices)
-            family_interiors |= set(p.interior())
-        candidate = Octopus(core, attached_end, tuple(arms), tuple(paths), r4)
-        if len(arms) == r3:
-            return candidate
-        if best is None or len(arms) > len(best.arms):
-            best = candidate
-    return BuildFailure(
-        "arms_stalled",
-        f"attached {len(best.arms) if best else 0} of {r3} arms",
-        best,
     )

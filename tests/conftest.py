@@ -4,6 +4,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from balsub.gadgets import Adjuster, Expansion
+from balsub.graph import Graph
+
 _ACCEPTANCE_LABELS = {
     "test_ac1_two_block_hosts": "AC-1 two-block extremal hosts",
     "test_ac2_dense_fallback": "AC-2 dense two-subdivision fallback",
@@ -45,3 +48,23 @@ def shallow_stack():
             sys.setrecursionlimit(old)
 
     return shallow
+
+
+@pytest.fixture
+def chain_of_four():
+    """Four hexagons 0-5, 6-11, 12-17, 18-23 bridged 2-6, 8-12, 14-18, and
+    the four-step adjuster between vertices 0 and 20 whose centre is every
+    other vertex: each hexagon offers a short and a long way across."""
+    edges = [(b + i, b + (i + 1) % 6) for b in (0, 6, 12, 18) for i in range(6)]
+    g = Graph(24, edges + [(2, 6), (8, 12), (14, 18)])
+    adj = Adjuster(
+        core1=0,
+        core2=20,
+        end1=Expansion(0, frozenset({0}), 0),
+        end2=Expansion(20, frozenset({20}), 0),
+        center=frozenset(range(24)) - {0, 20},
+        base_length=11,
+        steps=4,
+        m=1,
+    )
+    return g, adj

@@ -39,18 +39,14 @@ from balsub.gadgets import (
     Adjuster,
     Expansion,
     Hub,
-    Octopus,
     Unit,
     build_hub,
-    build_octopus,
     build_simple_adjuster,
     build_unit,
     grow_expansion,
-    link_adjusters,
     validate_adjuster,
     validate_expansion,
     validate_hub,
-    validate_octopus,
     validate_unit,
 )
 from balsub.generators import (
@@ -301,10 +297,11 @@ def _gadget_corpus() -> list[Graph]:
     hosts += [kdd(d, 2) for d in (3, 4, 5)]
     hosts += [cycle_graph(n) for n in (12, 18, 24)]
     hosts.append(incidence_plane(3))
+    hosts += [_c6_star(blocks) for blocks in (2, 3, 4, 5)]
     return hosts
 
 
-def test_ac7_gadget_round_trip():
+def test_ac7_gadget_round_trip(chain_of_four):
     tally = _Tally()
     for g in _gadget_corpus():
         for h1, h2 in ((1, 1), (2, 2), (3, 1)):
@@ -316,18 +313,13 @@ def test_ac7_gadget_round_trip():
         for size, m in ((1, 1), (1, 2), (2, 2)):
             tally.run(g, build_simple_adjuster, validate_adjuster, (), size, m)
 
-    # chains drive the linking and octopus builders deterministically
+    # an avoid set confines an adjuster to each hexagon of a star
     for blocks in (2, 3, 4, 5):
         g = _c6_star(blocks)
-        pool = []
         for b in range(blocks):
             avoid = [v for v in g.vertices() if not (6 * b <= v < 6 * b + 6)]
             adj = tally.run(g, build_simple_adjuster, validate_adjuster, avoid, 1, 1)
             assert isinstance(adj, Adjuster)
-            pool.append(adj)
-        tally.run(g, link_adjusters, validate_adjuster, pool[0], pool[1])
-        if blocks >= 3:
-            tally.run(g, build_octopus, validate_octopus, pool, (), blocks - 1, 6)
     assert tally.calls >= 500, tally.calls
     assert tally.successes >= 200, tally.successes
 
@@ -390,22 +382,15 @@ def test_ac7_gadget_round_trip():
         assert not validate_adjuster(hexa, bad).passed
         caught += 1
 
-    chain = _c6_star(4)
-    pool = []
-    for b in range(4):
-        avoid = [v for v in chain.vertices() if not (6 * b <= v < 6 * b + 6)]
-        a = build_simple_adjuster(chain, avoid, 1, 1)
-        assert isinstance(a, Adjuster)
-        pool.append(a)
-    octo = build_octopus(chain, pool, (), 3, 6)
-    assert isinstance(octo, Octopus)
-    bad_octos = [
-        replace(octo, arm_paths=octo.arm_paths[:-1]),
-        replace(octo, arm_cap=0),
-        replace(octo, arms=(octo.arms[0],) + octo.arms[:-1]),
+    chain, four_steps = chain_of_four
+    assert validate_adjuster(chain, four_steps).passed
+    bad_chains = [
+        replace(four_steps, steps=5),  # a menu length no path realizes
+        replace(four_steps, steps=2),  # a centre too large for two steps
+        replace(four_steps, center=four_steps.center - {7}),  # a cut detour
     ]
-    for bad in bad_octos:
-        assert not validate_octopus(chain, bad).passed
+    for bad in bad_chains:
+        assert not validate_adjuster(chain, bad).passed
         caught += 1
 
     c9 = cycle_graph(9)

@@ -183,6 +183,29 @@ def test_route_sparse_in_paper_mode():
     assert out.trace.route == "sparse"
 
 
+def test_paper_mode_unit_route_honours_a_pinned_ell():
+    g = complete_graph(300)
+    unpinned = PipelineTrace()
+    cert = find_balanced_subdivision(g, RunConfig(mode="paper"), unpinned)
+    assert unpinned.entries[0] == "paper constants: kappa=17.291616 m=2 D=0.000478 ell=8"
+    assert cert.ell == 8
+    pinned = PipelineTrace()
+    cert = find_balanced_subdivision(
+        g, RunConfig(mode="paper", overrides=Overrides(ell=6)), pinned
+    )
+    assert pinned.entries[0] == (
+        "paper constants: kappa=17.291616 m=2 D=0.000478 ell=6 (pinned)"
+    )
+    assert cert.ell == 6 and verify_subdivision(g, cert).passed
+    # on the bipartite expander the paper's hubs do not fit, but the trace
+    # still names the pinned ell rather than m**3
+    out = top_level(g, RunConfig(mode="paper", overrides=Overrides(ell=8)))
+    assert out.kind == "failure"
+    assert "paper constants: kappa=12.247449 m=20 D=2.400000 ell=8 (pinned)" in (
+        out.trace.entries
+    )
+
+
 def test_route_failure_on_empty_graph():
     out = top_level(Graph(0, []), RunConfig())
     assert out.kind == "failure"

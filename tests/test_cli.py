@@ -370,6 +370,8 @@ def test_gadget_build_adjuster_output_is_pinned(capsys, tmp_path, host):
 # still picked their family and kind in if-chains.  HOST names a file of
 # `_CLI_HOSTS` and REC a file of `_CLI_RECORDS` (made by the group's first
 # commands when the entry is a command); the temporary folder prints as TMP.
+# The unit group's digest was re-taken when unit output stopped recording
+# a "c4" flag, which a unit never reads; nothing else in its output moved.
 _CLI_HOSTS = {
     "k6": lambda: complete_graph(6),
     "k10": lambda: complete_graph(10),
@@ -519,7 +521,7 @@ _CLI_RECORD_BUILDS = {
 _PINNED_CLI_GROUPS = {
     "gen": "f3ea9d32e125b90d073a5a5eb7d077e40d6ffe1aa7213ccd45826063a621cf12",
     "gadget hub": "b5b422b2b0d3dd33830a55ff9dda10e610f5445dd297dc2d6467bb85dd0bfcbd",
-    "gadget unit": "a544f4434781645221c1cbe286254ed885ccede3490f9f4b9728c716efb44c44",
+    "gadget unit": "a639bd6aa34e5eea36898599b25972b9ea32327d10612589cadf7eeb9e33a269",
     "gadget adjuster": "b97224e562ebf2d2a54b87cf94ac490dacc4f2c43b25aaf0314580386c04becc",
     "drc": "79491669a1b4fc9d8c313743cf671a5030d5f971ef9bc36aac04f6dda9ce7d8a",
 }
@@ -779,6 +781,13 @@ def test_gadget_usage_errors(capsys, tmp_path):
         capsys, ["gadget", "build", "unit", str(path), "--h0", "1", "--h1", "1"]
     )[0] == 2
     assert run(capsys, ["gadget", "check", "hub", str(path)])[0] == 2
+    # a unit has no 4-cycle mode, so --c4 is refused rather than ignored
+    code, out, err = run(
+        capsys,
+        ["gadget", "build", "unit", str(path), "--h0", "1", "--h1", "1",
+         "--h2", "1", "--h3", "2", "--c4"],
+    )
+    assert (code, out, err) == (2, "", "error: a unit takes no --c4\n")
     assert run(
         capsys,
         ["gadget", "build", "hub", str(path), "--h1", "2", "--h2", "1",
@@ -880,12 +889,18 @@ def test_module_entry_requires_subcommand():
 
 
 def test_cli_demo_runs():
+    # every demo, so that one importing a deleted name fails here
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")])
     )
-    out = subprocess.run(
-        ["sh", str(root / "demos" / "cli_demo.sh")], env=env, capture_output=True
-    )
-    assert out.returncode == 0, out.stderr.decode()
+    for runner, demo in (
+        ("sh", "cli_demo.sh"),
+        (sys.executable, "gadget_demo.py"),
+        (sys.executable, "pipeline_demo.py"),
+    ):
+        out = subprocess.run(
+            [runner, str(root / "demos" / demo)], env=env, capture_output=True
+        )
+        assert out.returncode == 0, (demo, out.stderr.decode())

@@ -1,5 +1,4 @@
-"""Gadget builders and validators: hubs, expansions, units, adjusters,
-octopuses.
+"""Gadget builders and validators: hubs, expansions, units and adjusters.
 
 Derived expectations (layer contents, menus, failure reasons) were computed
 by hand on small hosts and cross-checked with independent searches inside
@@ -12,24 +11,20 @@ from collections import Counter, deque
 import pytest
 
 from balsub import gadgets, router
-from balsub.connect import PathWitness, path_within
+from balsub.connect import PathWitness
 from balsub.gadgets import (
     Adjuster,
     BuildFailure,
     Expansion,
     Hub,
-    Octopus,
     Unit,
     build_hub,
-    build_octopus,
     build_simple_adjuster,
     build_unit,
     grow_expansion,
-    link_adjusters,
     validate_adjuster,
     validate_expansion,
     validate_hub,
-    validate_octopus,
     validate_unit,
 )
 from balsub.gadgets import _shortest_cycle
@@ -447,9 +442,9 @@ def test_validate_expansion_rejects():
     assert not clause_map(rep)["radius_respected"]
 
 
-# The gadget layer once kept three BFS loops of its own.  They stay here as
-# oracles: the shared traversals (`Graph.bfs_distances`,
-# `connect.path_within`) must give exactly what they gave.
+# The gadget layer once kept BFS loops of its own.  They stay here as
+# oracles: `grow_expansion` and `Graph.bfs_distances` must give exactly what
+# they gave.
 
 
 def oracle_distances_within(g, region, source):
@@ -485,21 +480,6 @@ def oracle_bfs_layers(g, source, blocked, depth_cap):
     return layers
 
 
-def oracle_expansion_path(g, f, target):
-    if target == f.anchor:
-        return [f.anchor]
-    dist = oracle_distances_within(g, f.vertices, f.anchor)
-    if target not in dist:
-        return None
-    path = [target]
-    while path[-1] != f.anchor:
-        cur = path[-1]
-        path.append(
-            min(w for w in g.neighbors(cur) if dist.get(w) == dist[cur] - 1)
-        )
-    return list(reversed(path))
-
-
 def oracle_grow(g, anchor, size, blocked, cap):
     """(vertices, radius) layer by layer, or None when too few are reachable."""
     picked, radius = [], 0
@@ -513,7 +493,7 @@ def oracle_grow(g, anchor, size, blocked, cap):
 
 def test_expansion_traversals_match_the_old_private_bfs():
     rng = random.Random(7)
-    compared = long_paths = 0
+    compared = 0
     for trial in range(750):
         n = rng.randint(2, 22)
         g = gnp(n, rng.choice((0.1, 0.2, 0.35, 0.5)), trial)
@@ -543,14 +523,8 @@ def test_expansion_traversals_match_the_old_private_bfs():
             assert clause_map(validate_expansion(host, f))["radius_respected"] == (
                 anchor in region and within
             )
-            if anchor in region:
-                b = rng.choice(sorted(region))
-                got = path_within(host, region, anchor, b)
-                assert got == oracle_expansion_path(host, f, b)
-                long_paths += got is not None and len(got) > 2
             compared += 1
     assert compared == 1500
-    assert long_paths >= 100
 
 
 # -- units --------------------------------------------------------------------
@@ -803,121 +777,23 @@ def test_adjuster_long_cycle_menu():
     assert validate_adjuster(c20, a).passed
 
 
-def _c6_block(base):
-    return [(base + i, base + (i + 1) % 6) for i in range(6)]
+def test_chain_of_four_adjuster_record(chain_of_four):
+    # four hexagons in a row: every step count from 0 to 4 is one more
+    # detour around a hexagon, so the menu runs 11, 13, ..., 19
+    g, adj = chain_of_four
+    assert adj.menu() == (11, 13, 15, 17, 19)
+    assert adjuster_length_menu(g, adj) == frozenset(adj.menu())
+    report = validate_adjuster(g, adj)
+    assert report.passed
+    assert report.clause("a4_menu").passed
 
 
-def _chain_graph(blocks, bridges):
-    edges = []
-    for b in blocks:
-        edges += _c6_block(b)
-    edges += bridges
-    return Graph(6 * len(blocks), edges)
-
-
-def _block_adjuster(g, base):
-    avoid = [v for v in g.vertices() if not (base <= v < base + 6)]
-    a = build_simple_adjuster(g, avoid, 1, 1)
-    assert isinstance(a, Adjuster)
-    return a
-
-
-def test_link_two_adjusters():
-    g = _chain_graph([0, 6], [(2, 6)])
-    a1 = _block_adjuster(g, 0)
-    a2 = _block_adjuster(g, 6)
-    linked = link_adjusters(g, a1, a2)
-    assert isinstance(linked, Adjuster)
-    assert (linked.core1, linked.core2) == (0, 8)
-    assert linked.base_length == 5
-    assert linked.steps == 2
-    assert len(linked.center) == 10
-    assert set(linked.menu()) == {5, 7, 9}
-    assert adjuster_length_menu(g, linked) == frozenset({5, 7, 9})
-    assert validate_adjuster(g, linked).passed
-
-
-def test_link_chain_of_four():
-    g = _chain_graph([0, 6, 12, 18], [(2, 6), (8, 12), (14, 18)])
-    pool = [_block_adjuster(g, b) for b in (0, 6, 12, 18)]
-    linked = pool[0]
-    for nxt in pool[1:]:
-        linked = link_adjusters(g, linked, nxt)
-        assert isinstance(linked, Adjuster)
-    assert (linked.core1, linked.core2) == (0, 20)
-    assert linked.base_length == 11
-    assert linked.steps == 4
-    assert len(linked.center) == 22
-    assert set(linked.menu()) == {11, 13, 15, 17, 19}
-    assert adjuster_length_menu(g, linked) == frozenset(linked.menu())
-    assert validate_adjuster(g, linked).passed
-
-
-def test_link_rejects_bad_inputs():
-    g = _chain_graph([0, 6], [(2, 6)])
-    a1 = _block_adjuster(g, 0)
-    a2 = _block_adjuster(g, 6)
-    with pytest.raises(InvalidArgumentError):
-        link_adjusters(g, a1, a1)
-    with pytest.raises(InvalidArgumentError):
-        link_adjusters(g, a1, a2, avoid=[0])
-    degenerate = Adjuster(
-        0, 2, Expansion(0, frozenset({0}), 0), Expansion(2, frozenset({2}), 0),
-        frozenset({1}), 2, 0, 1,
-    )
-    with pytest.raises(InvalidArgumentError):
-        link_adjusters(g, degenerate, a2)
-    # no edge between the blocks: bridging fails structurally
-    g2 = _chain_graph([0, 6], [])
-    b1 = _block_adjuster(g2, 0)
-    b2 = _block_adjuster(g2, 6)
-    out = link_adjusters(g2, b1, b2)
-    assert isinstance(out, BuildFailure)
-    assert out.reason == "disconnected"
-
-
-def test_link_adjusters_matches_the_old_expansion_path(monkeypatch):
-    # linking with the tails taken by the old in-expansion path gives the
-    # same adjuster, or the same failure
-    tails = []
-
-    def old_tail(g, region, a, b):
-        path = oracle_expansion_path(g, Expansion(a, frozenset(region), 0), b)
-        tails.append(path)
-        return path
-
-    rng = random.Random(5)
-    pairs = 0
-    for trial in range(700):
-        g = gnp(rng.randint(20, 40), rng.choice((0.1, 0.15, 0.2, 0.3)), trial)
-        size, m = rng.randint(1, 8), rng.choice((2, 3, 4))
-        first = build_simple_adjuster(g, (), size, m)
-        if isinstance(first, BuildFailure):
-            continue
-        second = build_simple_adjuster(g, first.all_vertices(), size, m)
-        if isinstance(second, BuildFailure):
-            continue
-        got = link_adjusters(g, first, second)
-        with monkeypatch.context() as patch:
-            patch.setattr(gadgets, "path_within", old_tail)
-            assert link_adjusters(g, first, second) == got
-        pairs += 1
-        if pairs == 300:
-            break
-    assert pairs == 300
-    assert sum(1 for t in tails if t is not None and len(t) > 2) >= 30
-
-
-def test_adjuster_menu_parity_on_bipartite_hosts():
+def test_adjuster_menu_parity_on_bipartite_hosts(chain_of_four):
     cases = [
         (cycle_graph(6), build_simple_adjuster(cycle_graph(6), (), 1, 1)),
         (incidence_plane(2), build_simple_adjuster(incidence_plane(2), (), 3, 2)),
     ]
-    g4 = _chain_graph([0, 6, 12, 18], [(2, 6), (8, 12), (14, 18)])
-    linked = _block_adjuster(g4, 0)
-    for b in (6, 12, 18):
-        linked = link_adjusters(g4, linked, _block_adjuster(g4, b))
-    cases.append((g4, linked))
+    cases.append(chain_of_four)
     for g, adj in cases:
         assert isinstance(adj, Adjuster)
         lengths = adjuster_length_menu(g, adj)
@@ -1113,168 +989,3 @@ def test_shortest_cycle_is_the_least_candidate_on_bipartite_hosts():
     assert _shortest_cycle(hypercube(4)) == [0, 1, 3, 2]
     assert _shortest_cycle(complete_bipartite(3, 5)) == [0, 3, 1, 4]
     assert _shortest_cycle(bipartite_half(gnp(14, 0.3, 2))[0]) == [0, 3, 13, 12]
-
-
-# -- octopuses ----------------------------------------------------------------
-
-
-def _octopus_host():
-    bridges = [(2, 6), (2, 12), (2, 18)]
-    g = _chain_graph([0, 6, 12, 18], bridges)
-    pool = [_block_adjuster(g, b) for b in (0, 6, 12, 18)]
-    return g, pool
-
-
-def test_octopus_three_arms_sharing_reach():
-    g, pool = _octopus_host()
-    octo = build_octopus(g, pool, (), 3, 1)
-    assert isinstance(octo, Octopus)
-    assert octo.attached_end == 2
-    assert [p.vertices for p in octo.arm_paths] == [(2, 6), (2, 12), (2, 18)]
-    rep = validate_octopus(g, octo)
-    assert rep.passed
-    assert clause_map(rep) == {
-        "arms_disjoint": True,
-        "paths_valid": True,
-        "paths_disjoint": True,
-        "every_arm_attached": True,
-        "family_minimal": True,
-    }
-
-
-def test_octopus_zero_arms_is_vacuous():
-    g, pool = _octopus_host()
-    octo = build_octopus(g, pool, (), 0, 1)
-    assert isinstance(octo, Octopus)
-    assert octo.arms == () and octo.arm_paths == ()
-    assert validate_octopus(g, octo).passed
-
-
-def test_octopus_argument_errors():
-    g, pool = _octopus_host()
-    with pytest.raises(InvalidArgumentError):
-        build_octopus(g, pool, (), -1, 1)
-    with pytest.raises(InvalidArgumentError):
-        build_octopus(g, pool, (), 1, 0)
-    with pytest.raises(InvalidArgumentError):
-        build_octopus(g, [], (), 0, 1)
-
-
-def test_octopus_stalls_without_connections():
-    g2 = _chain_graph([0, 6, 12, 18], [])
-    pool = [_block_adjuster(g2, b) for b in (0, 6, 12, 18)]
-    out = build_octopus(g2, pool, (), 3, 1)
-    assert isinstance(out, BuildFailure)
-    assert out.reason == "arms_stalled"
-    # asking for more arms than the pool offers
-    g, pool = _octopus_host()
-    assert build_octopus(g, pool, (), 4, 1).reason == "arms_stalled"
-
-
-def test_octopus_arm_cap():
-    # route attachments through one extra vertex each: length-2 paths
-    blocks = [0, 6, 12, 18]
-    edges = []
-    for b in blocks:
-        edges += _c6_block(b)
-    edges += [(2, 24), (24, 6), (2, 25), (25, 12), (2, 26), (26, 18)]
-    g = Graph(27, edges)
-    pool = []
-    for b in blocks:
-        avoid = [v for v in range(27) if not (b <= v < b + 6)]
-        a = build_simple_adjuster(g, avoid, 1, 1)
-        assert isinstance(a, Adjuster)
-        pool.append(a)
-    tight = build_octopus(g, pool, (), 3, 1)
-    assert isinstance(tight, BuildFailure)
-    assert tight.reason == "arms_stalled"
-    roomy = build_octopus(g, pool, (), 3, 2)
-    assert isinstance(roomy, Octopus)
-    assert all(p.length == 2 for p in roomy.arm_paths)
-    assert roomy.arm_cap == 2
-    assert validate_octopus(g, roomy).passed
-
-
-def test_octopus_avoid_respected():
-    g, pool = _octopus_host()
-    # blocking the attachment vertex 2's bridges forces end 1, which has
-    # no connections: the build stalls rather than touch avoided vertices
-    out = build_octopus(g, pool, (6, 12, 18), 3, 1)
-    assert isinstance(out, BuildFailure)
-    assert out.reason == "arms_stalled"
-
-
-def test_validate_octopus_rejects_tampering():
-    g, pool = _octopus_host()
-    octo = build_octopus(g, pool, (), 3, 1)
-    assert isinstance(octo, Octopus)
-
-    # path starting outside the attached end's expansion
-    bad_paths = (PathWitness((3, 2, 6)),) + octo.arm_paths[1:]
-    bad = Octopus(octo.core, octo.attached_end, octo.arms, bad_paths, 2)
-    assert not clause_map(validate_octopus(g, bad))["paths_valid"]
-
-    # a path longer than the recorded cap
-    bad = Octopus(octo.core, octo.attached_end, octo.arms, octo.arm_paths, 0)
-    assert not clause_map(validate_octopus(g, bad))["paths_valid"]
-
-    # an arm with no path to it
-    bad = Octopus(octo.core, octo.attached_end, octo.arms, octo.arm_paths[:2], 1)
-    cm = clause_map(validate_octopus(g, bad))
-    assert not cm["every_arm_attached"]
-
-    # two paths attaching the same arm break minimality
-    doubled = octo.arm_paths + (PathWitness((2, 1, 0, 5, 4, 3)),)
-    # route a genuine second path to arm 1's other end: 2-6 exists, and
-    # 8 is reachable 2-6-7-8 but 7 is a center, so craft on the raw graph
-    h = Graph(
-        13,
-        _c6_block(0) + _c6_block(6) + [(2, 6), (0, 12), (12, 8)],
-    )
-    a1 = _block_adjuster(h, 0)
-    a2 = _block_adjuster(h, 6)
-    single = build_octopus(h, [a1, a2], (), 1, 1)
-    assert isinstance(single, Octopus)
-    extra = PathWitness((0, 12, 8))
-    both_ends = Octopus(
-        single.core, single.attached_end, single.arms,
-        single.arm_paths + (extra,), 2,
-    )
-    cm = clause_map(validate_octopus(h, both_ends))
-    assert not cm["family_minimal"]
-
-    # duplicated arm record
-    bad = Octopus(octo.core, octo.attached_end, (octo.arms[0],) * 2, octo.arm_paths[:2], 1)
-    assert not clause_map(validate_octopus(g, bad))["arms_disjoint"]
-
-
-def test_validate_octopus_internal_disjointness():
-    # two arm paths may share their reach endpoint but not interiors
-    blocks = [0, 6, 12]
-    edges = []
-    for b in blocks:
-        edges += _c6_block(b)
-    edges += [(2, 18), (18, 6), (18, 12)]
-    g = Graph(19, edges)
-    pool = []
-    for b in blocks:
-        avoid = [v for v in range(19) if not (b <= v < b + 6)]
-        pool.append(_block_adjuster_any(g, avoid))
-    core, arm1, arm2 = pool
-    shared_interior = Octopus(
-        core, 2, (arm1, arm2),
-        (PathWitness((2, 18, 6)), PathWitness((2, 18, 12))), 2,
-    )
-    cm = clause_map(validate_octopus(g, shared_interior))
-    assert cm["paths_valid"]
-    assert not cm["paths_disjoint"]
-    # the builder itself avoids the collision by refusing the second path
-    out = build_octopus(g, pool, (), 2, 2)
-    assert isinstance(out, BuildFailure)
-    assert out.reason == "arms_stalled"
-
-
-def _block_adjuster_any(g, avoid):
-    a = build_simple_adjuster(g, avoid, 1, 1)
-    assert isinstance(a, Adjuster)
-    return a
