@@ -53,8 +53,8 @@ def shallow_stack():
 @pytest.fixture
 def chain_of_four():
     """Four hexagons 0-5, 6-11, 12-17, 18-23 bridged 2-6, 8-12, 14-18, and
-    the four-step adjuster between vertices 0 and 20 whose centre is every
-    other vertex: each hexagon offers a short and a long way across."""
+    the four-step adjuster between vertices 0 and 20 whose centre is all 22
+    other vertices: each hexagon offers a short and a long way across."""
     edges = [(b + i, b + (i + 1) % 6) for b in (0, 6, 12, 18) for i in range(6)]
     g = Graph(24, edges + [(2, 6), (8, 12), (14, 18)])
     adj = Adjuster(
