@@ -230,15 +230,40 @@ def test_segment_budget_exhaustion_is_traced():
     assert not any(e.endswith(": no segment") for e in out.trace.entries)
 
 
-# sha256 of {"certificate": ..., "entries": ...} (sorted keys) for the
-# unit-route hosts of the benchmark at seed 1: the gadget layer must keep
-# every certificate and trace byte for byte.
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(out) -> tuple[str, str]:
+    """The sha256 of the certificate's JSON and of the trace entries, each
+    taken apart so that a trace change cannot hide a certificate change."""
+    return _sha256(out.certificate.to_json_dict()), _sha256(list(out.trace.entries))
+
+
+# (certificate digest, entries digest) of the unit-route hosts of the
+# benchmark at seed 1: the gadget layer must keep every certificate and
+# trace byte for byte.
 _PINNED_UNIT_ROUTE = {
-    80: "0e89a978f5fcc967c1a535a44392bd44493ac6d435d8a2bd87ef0aeec1100020",
-    100: "c7228b42b000042b46a169cfad316705c1389d9adf8e0be332e9649904f691ba",
-    120: "38fca1f0d8f10caa0f531b7acc3f5a6f0dd12b7ab7f1fed1638ab70d3e27ec07",
-    140: "45c024c27b84e51c97733b5e731bfb21dd0660431e80f9cf9b4cbef388311934",
-    160: "042da691644ab7c364bf71077073d3b3901e8414e464cc8be8cae8fd8401f052",
+    80: (
+        "5f853ef3085ea71cc9b2ff9169ce7fec77f92f5b68f7d85d23fbc624da6a6e75",
+        "4144b632aebe14c2d4a5f0be77fb358bb79de3bee95ed63d5b7417e704f7e6b7",
+    ),
+    100: (
+        "10e7fb9ae484fa349b5bf63a869caf232dd3f8232399bd54be07cf4e68c55f24",
+        "79e44d72136386ee88b149cd1ada6589025ab97680e22eb7a00a7d3123aa5e92",
+    ),
+    120: (
+        "c012bd05566334b0452c1a1ba123b0fa0662b95d391ec39b64ae4b77cce765c9",
+        "9cad266e4f0f0b8af3e7b3a148d125e5ea767ff79947460763341f6afd73f8d5",
+    ),
+    140: (
+        "a0ad941d20e1ec72d50cca59c1a9e7fe8831d499e0da615a67d98244ca21c1ef",
+        "9ae021cb83da83f22759fac8c6f0aa8a04c0082f953b63b06a6f05e86039aec2",
+    ),
+    160: (
+        "2ef5bceb4b7ddca6dfae3eb41778363a9cf0f3f5c9f690f0755df06a870c9f35",
+        "9d500de9809f59ec4861bd57033e74abd00504c3ae014886966d715282318bca",
+    ),
 }
 
 
@@ -246,62 +271,71 @@ _PINNED_UNIT_ROUTE = {
 def test_unit_route_certificates_are_pinned(n):
     out = top_level(complete_graph(n), RunConfig(seed=1, overrides=Overrides(ell=4)))
     assert out.kind == "certificate"
-    doc = {"certificate": out.certificate.to_json_dict(), "entries": list(out.trace.entries)}
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == _PINNED_UNIT_ROUTE[n]
+    cert_digest, entries_digest = _digests(out)
+    assert cert_digest == _PINNED_UNIT_ROUTE[n][0]
+    assert entries_digest == _PINNED_UNIT_ROUTE[n][1]
 
 
-# The same digest for the `dense_sweep` hosts and the paper-mode
+# The same two digests for the `dense_sweep` hosts and the paper-mode
 # `small_exhaustive` hosts of the benchmark at seed 1.  The G(n, p) seeds
 # are the ones `random.Random("<workload>/1")` draws for those hosts.
 _PINNED_WORKLOAD_HOSTS = {
     "hypercube(8)": (
         lambda: hypercube(8), {},
-        "dc26e106b7d1ddf68e382451f842a7605dd03767ed542b42ac22ff43975652d9",
+        "87db50040ee48961d2d99abe5a93e9c1e97e946d5dd9e2b40d1167b3db0e0b77",
+        "aaa7cdcfe8368dfa3d36a061caf22840f13d3c772e7ad9a2156c4517570ff08a",
     ),
     "kdd(20,3)": (
         lambda: kdd(20, 3), {},
-        "fb98277bc99fb26467539e904161306dd144b7a50eac4317639957c00800853a",
+        "2046bb648ef4b657af8412ea076457fb9fe35c289cbc8231f0de06b494861a81",
+        "3be13485d6b6b38d5bd3775cce28fa341cd22afd15aa427f41db3d63ab05c0a2",
     ),
     "incidence_plane(5)": (
         lambda: incidence_plane(5), {"kappa_rule": "linear"},
-        "7c1708d30d212d67bde669e55ed81c713c1a85136a3f7a066111b33b96988007",
+        "9d39e4f5cc9b751da1c192397f55448558e63b17a970820891e5342f3794649e",
+        "0db5a8dc3549354e6b85f793afb33e2a33c5d09db11bf130b8dddac30fdacb56",
     ),
     "complete_bipartite(14,14)": (
         lambda: complete_bipartite(14, 14), {},
-        "fbd913f147473e89b055d8c68311d498534d222f089bc3e66c2c15fc27d5da93",
+        "67736da9da491547fbbdc6970b8b0255813cc67838147b89ab615236d93135ab",
+        "bf086829f295d753570ea3a8c4e5f57c5adb9e9f9f5d487cebd9a62625f90ea3",
     ),
     "gnp(50,0.3)": (
         lambda: gnp(50, 0.3, 1475198904), {},
-        "e8ae79a60578e4bc819f8b9eba6b58d4b40c8306d8c1ea9fd1ef22e185dbaeb1",
+        "5d323715b4df4e663de64c668f8eb8b595b55ab7cbef454fc4bd66c13dbb9d67",
+        "058e0c92d246e2a4fa12f709afafbcc5e66290685cb5a5e52215b3d0b7bc7588",
     ),
     "paper cycle_graph(12)": (
         lambda: cycle_graph(12), {"mode": "paper"},
-        "73bd1a5e3ecbc2371bedf5e5514232337d4dfed26ee483eec07dca8356abd5d2",
+        "9bf21758e0ae4c0bc5289db7811dfde22061035c0cee68c4fe98230978af3bfc",
+        "9235f99c0348c241949b11a591a28b49068f2f776d6054fd09db7678478fe39b",
     ),
     "paper path_graph(12)": (
         lambda: path_graph(12), {"mode": "paper"},
-        "8a3b54ae90c6849130b892d1968a36d328f63f989f6929a78c3e1053f13a70aa",
+        "72316ecabafeb48e9e23177832404cadb1e38bc6eb167da1d19f5ad2416750ac",
+        "9ef1cbcddb3379f3a4c935d80299bd9f28d564e822679256d7d9aa55376efe65",
     ),
     "paper hypercube(3)": (
         lambda: hypercube(3), {"mode": "paper"},
-        "8995e9cfc3adf213e9d07fdca432bd5859af04c432b294cdd6b4b86f5f79ed0c",
+        "ff7d0e45daf76f3d8288733b1f9fbeddf0a9e96c3339f3b9a3cc08c3c096ca18",
+        "d23fdc07ccb674d52ddb4dcf4ee8b685cc504f3cc6c034a348eed06f8efc848c",
     ),
     "paper gnp(12,0.45)": (
         lambda: gnp(12, 0.45, 876077723), {"mode": "paper"},
-        "1e31f637459317fd6ee87fe2fd48fceaa6d9af40c8a952e3e3e0f096ccce49b0",
+        "9d68f7efeb66924bf3963c143332b19f9c75b09d2f7d22384c7031b8c9e0c8ed",
+        "6268c0627fe30f7ef5e640b98d98f582dd646be1a6a84c1034e73c2bf5a0ef2c",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED_WORKLOAD_HOSTS))
 def test_dense_and_paper_mode_certificates_are_pinned(name):
-    make, config, want = _PINNED_WORKLOAD_HOSTS[name]
+    make, config, want_cert, want_entries = _PINNED_WORKLOAD_HOSTS[name]
     out = top_level(make(), RunConfig(seed=1, **config))
     assert out.certificate is not None
-    doc = {"certificate": out.certificate.to_json_dict(), "entries": list(out.trace.entries)}
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    assert digest == want
+    cert_digest, entries_digest = _digests(out)
+    assert cert_digest == want_cert
+    assert entries_digest == want_entries
 
 
 # Runs under `python -O`, which strips assert statements: with verification
