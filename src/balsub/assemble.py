@@ -29,14 +29,7 @@ from .expander import (
     extract_bipartite_expander,
     kst_free_profile_transform,
 )
-from .gadgets import (
-    Unit,
-    build_hub,
-    build_simple_adjuster,
-    build_unit,
-    validate_adjuster,
-    validate_hub,
-)
+from .gadgets import Unit, build_unit
 from .graph import Graph, average_degree
 from .outcomes import (
     BuildFailure,
@@ -131,7 +124,6 @@ class PipelineTrace:
     entries: list = field(default_factory=list)
     route: str = ""
     units: list = field(default_factory=list)
-    probes: dict = field(default_factory=dict)
 
     def add(self, message: str) -> None:
         self.entries.append(message)
@@ -375,12 +367,8 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
                 f"profile transform (s=t=2): k {profile.k:.9f} -> "
                 f"{transformed.k:.9f}"
             )
-            trace.probes["transform"] = transformed
         except InvalidArgumentError as exc:
             trace.add(f"profile transform inapplicable: {exc}")
-
-    if expander is not None and expander.graph.n >= 2:
-        _run_probes(expander.graph, cfg, trace)
 
     ov = cfg.overrides
     threshold = None
@@ -465,35 +453,3 @@ def _brute_route(
         return cert
     return None
 
-
-def _run_probes(h: Graph, cfg: RunConfig, trace: PipelineTrace) -> None:
-    """Build one hub and one simple adjuster on the expander as evidence
-    the gadget layer applies to this host; both validated, never assumed."""
-    c4 = cfg.kappa_rule == "linear"
-    try:
-        hub = build_hub(h, (), 2, 2, c4_mode=c4)
-    except InvalidArgumentError as exc:
-        trace.add(f"probe hub aborted: {exc}")
-        hub = None
-    if hub is not None and not isinstance(hub, BuildFailure):
-        if validate_hub(h, hub).passed:
-            trace.probes["hub"] = hub
-            trace.add(f"probe hub: center {hub.center} validated")
-        else:
-            trace.add("probe hub: built but failed validation")
-    else:
-        trace.add("probe hub: not buildable")
-
-    size = 4 if h.n >= 20 else 1
-    adj = build_simple_adjuster(h, (), size, 2, c4_mode=c4)
-    if not isinstance(adj, BuildFailure):
-        if validate_adjuster(h, adj).passed:
-            trace.probes["adjuster"] = adj
-            trace.add(
-                f"probe adjuster: cycle of {len(adj.center) + 2} vertices, "
-                f"menu {sorted(adj.menu())}"
-            )
-        else:
-            trace.add("probe adjuster: built but failed validation")
-    else:
-        trace.add(f"probe adjuster: {adj.reason}")

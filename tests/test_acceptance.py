@@ -240,9 +240,11 @@ def test_ac6_c4_free_route():
     for q in (3, 5, 7):
         g = incidence_plane(q)
         outcome = top_level(g, RunConfig(mode="desk", kappa_rule="linear", seed=0))
-        probes = outcome.trace.probes
-        assert "transform" in probes, q
-        assert "hub" in probes and "adjuster" in probes, q
+        assert outcome.certificate is not None, q
+        assert verify_subdivision(g, outcome.certificate).passed, q
+        assert any(
+            e.startswith("profile transform (s=t=2)") for e in outcome.trace.entries
+        ), q
 
         hub = build_hub(g, (), 2, 2, c4_mode=True)
         assert isinstance(hub, Hub), q

@@ -25,6 +25,15 @@ from balsub.assemble import (
 )
 from balsub.assemble import _component_k_cap
 from balsub.certify import SubdivisionCertificate, verify_subdivision
+from balsub.expander import ExpansionProfile, extract_bipartite_expander
+from balsub.gadgets import (
+    Adjuster,
+    Hub,
+    build_hub,
+    build_simple_adjuster,
+    validate_adjuster,
+    validate_hub,
+)
 from balsub.generators import (
     complete_bipartite,
     complete_graph,
@@ -35,7 +44,7 @@ from balsub.generators import (
     kdd,
     path_graph,
 )
-from balsub.graph import Graph
+from balsub.graph import Graph, average_degree
 from balsub.outcomes import BuildFailure, InvalidArgumentError
 
 
@@ -246,23 +255,23 @@ def _digests(out) -> tuple[str, str]:
 _PINNED_UNIT_ROUTE = {
     80: (
         "5f853ef3085ea71cc9b2ff9169ce7fec77f92f5b68f7d85d23fbc624da6a6e75",
-        "4144b632aebe14c2d4a5f0be77fb358bb79de3bee95ed63d5b7417e704f7e6b7",
+        "69328cdad962cf8b44910a0b7adfbb49a4c1e7122853e8e9b3532c4001e80e86",
     ),
     100: (
         "10e7fb9ae484fa349b5bf63a869caf232dd3f8232399bd54be07cf4e68c55f24",
-        "79e44d72136386ee88b149cd1ada6589025ab97680e22eb7a00a7d3123aa5e92",
+        "154b628801a0bb02d7804ae8143794b4b4ab4f4a32325b3b0cfaae6c5327f3a6",
     ),
     120: (
         "c012bd05566334b0452c1a1ba123b0fa0662b95d391ec39b64ae4b77cce765c9",
-        "9cad266e4f0f0b8af3e7b3a148d125e5ea767ff79947460763341f6afd73f8d5",
+        "ef8e6523edb848f21ca0cc103e05a32aaabed32228d2d58dd2b7befe30694c4b",
     ),
     140: (
         "a0ad941d20e1ec72d50cca59c1a9e7fe8831d499e0da615a67d98244ca21c1ef",
-        "9ae021cb83da83f22759fac8c6f0aa8a04c0082f953b63b06a6f05e86039aec2",
+        "d3c8ad133d0dd923d0cd6825f719dc0385b771be02b63f55473abe510f734199",
     ),
     160: (
         "2ef5bceb4b7ddca6dfae3eb41778363a9cf0f3f5c9f690f0755df06a870c9f35",
-        "9d500de9809f59ec4861bd57033e74abd00504c3ae014886966d715282318bca",
+        "fb8943f3c4226d135e4cc80409394330922708be5bedcc18e7b00074c4074f7b",
     ),
 }
 
@@ -283,47 +292,47 @@ _PINNED_WORKLOAD_HOSTS = {
     "hypercube(8)": (
         lambda: hypercube(8), {},
         "87db50040ee48961d2d99abe5a93e9c1e97e946d5dd9e2b40d1167b3db0e0b77",
-        "aaa7cdcfe8368dfa3d36a061caf22840f13d3c772e7ad9a2156c4517570ff08a",
+        "43d35a2e343f59ec02cceca5835c0ac1ce7bcb94b3ec2de89dc51d42308440cd",
     ),
     "kdd(20,3)": (
         lambda: kdd(20, 3), {},
         "2046bb648ef4b657af8412ea076457fb9fe35c289cbc8231f0de06b494861a81",
-        "3be13485d6b6b38d5bd3775cce28fa341cd22afd15aa427f41db3d63ab05c0a2",
+        "9ec850d9b75e8a5a50ef99d29118c4dc1187fd1008a3f3813032afa0d2d41dd8",
     ),
     "incidence_plane(5)": (
         lambda: incidence_plane(5), {"kappa_rule": "linear"},
         "9d39e4f5cc9b751da1c192397f55448558e63b17a970820891e5342f3794649e",
-        "0db5a8dc3549354e6b85f793afb33e2a33c5d09db11bf130b8dddac30fdacb56",
+        "7ad029cfa14fa96b8af19cef2b0f9cd03430e914671826f472db52f5c66ca14d",
     ),
     "complete_bipartite(14,14)": (
         lambda: complete_bipartite(14, 14), {},
         "67736da9da491547fbbdc6970b8b0255813cc67838147b89ab615236d93135ab",
-        "bf086829f295d753570ea3a8c4e5f57c5adb9e9f9f5d487cebd9a62625f90ea3",
+        "042e8ebf24edc69486cc1141f560b6550f7465449a64632322e20f6907f469ce",
     ),
     "gnp(50,0.3)": (
         lambda: gnp(50, 0.3, 1475198904), {},
         "5d323715b4df4e663de64c668f8eb8b595b55ab7cbef454fc4bd66c13dbb9d67",
-        "058e0c92d246e2a4fa12f709afafbcc5e66290685cb5a5e52215b3d0b7bc7588",
+        "4c9687ee38f5757f88c03b97881ce2e68e1d1e1d0b83b0190811ba2a2f6b7fe4",
     ),
     "paper cycle_graph(12)": (
         lambda: cycle_graph(12), {"mode": "paper"},
         "9bf21758e0ae4c0bc5289db7811dfde22061035c0cee68c4fe98230978af3bfc",
-        "9235f99c0348c241949b11a591a28b49068f2f776d6054fd09db7678478fe39b",
+        "b6ee211a52b09126b9c4eefe9760c2fcbc2f6314e12e4d4112948c59a271201e",
     ),
     "paper path_graph(12)": (
         lambda: path_graph(12), {"mode": "paper"},
         "72316ecabafeb48e9e23177832404cadb1e38bc6eb167da1d19f5ad2416750ac",
-        "9ef1cbcddb3379f3a4c935d80299bd9f28d564e822679256d7d9aa55376efe65",
+        "291c02fd7da09d3ee66b077580a7ff79b7d0b2d1c970c543a17e062c27d7feba",
     ),
     "paper hypercube(3)": (
         lambda: hypercube(3), {"mode": "paper"},
         "ff7d0e45daf76f3d8288733b1f9fbeddf0a9e96c3339f3b9a3cc08c3c096ca18",
-        "d23fdc07ccb674d52ddb4dcf4ee8b685cc504f3cc6c034a348eed06f8efc848c",
+        "4c4b1a6a703a9995e81ad4347cb003645f135f130c3a6231a3e204fbe0844e82",
     ),
     "paper gnp(12,0.45)": (
         lambda: gnp(12, 0.45, 876077723), {"mode": "paper"},
         "9d68f7efeb66924bf3963c143332b19f9c75b09d2f7d22384c7031b8c9e0c8ed",
-        "6268c0627fe30f7ef5e640b98d98f582dd646be1a6a84c1034e73c2bf5a0ef2c",
+        "f64a5269decebc8bc14d4b39287e06bea21ee7cba6dc07dd0f69571bd8e8e435",
     ),
 }
 
@@ -383,12 +392,11 @@ def test_linear_rule_records_transform():
         incidence_plane(3),
         RunConfig(kappa_rule="linear", overrides=Overrides(target_k=2)),
     )
-    assert "transform" in out.trace.probes
     assert any("profile transform" in e for e in out.trace.entries)
     sqrt_out = top_level(
         incidence_plane(3), RunConfig(overrides=Overrides(target_k=2))
     )
-    assert "transform" not in sqrt_out.trace.probes
+    assert not any("profile transform" in e for e in sqrt_out.trace.entries)
 
 
 def test_dense_sweep_respects_target_k():
@@ -419,8 +427,6 @@ def test_unit_route_golden_on_k80():
     assert list(out.trace.entries) == [
         "host: n=80 d=79.000000; d1=9.875000; profile k=0.987500000",
         "bipartite expander: n=80 verdict=sampled_ok",
-        "probe hub: center 0 validated",
-        "probe adjuster: cycle of 4 vertices, menu [1, 3]",
         "desk unit parameters: target_k=6 (h0,h1,h2,h3)=(5,1,1,2) ell=4",
         "unit 0: core 0, 14 interior",
         "unit 1: core 1, 13 interior",
@@ -437,8 +443,12 @@ def test_unit_route_golden_on_k80():
     ]
 
 
-def test_probes_validated_on_expander():
-    out = top_level(complete_graph(20), RunConfig())
-    hub = out.trace.probes.get("hub")
-    adj = out.trace.probes.get("adjuster")
-    assert hub is not None and adj is not None
+def test_gadgets_validate_on_the_extracted_expander():
+    # the gadget layer applies to the expander that top_level extracts
+    g = complete_graph(20)
+    d1 = average_degree(g) / 8
+    h = extract_bipartite_expander(g, d1, ExpansionProfile(1.0, 0.1 * d1)).graph
+    hub = build_hub(h, (), 2, 2)
+    assert isinstance(hub, Hub) and validate_hub(h, hub).passed
+    adj = build_simple_adjuster(h, (), 4, 2)
+    assert isinstance(adj, Adjuster) and validate_adjuster(h, adj).passed
