@@ -367,6 +367,10 @@ def cmd_gadget(args: argparse.Namespace) -> int:
     names = _GADGETS[args.kind][0]
     if args.c4 and "c4" not in names:
         return _fail_usage(f"a {args.kind} takes no --c4")
+    reads = names if args.action == "build" else ()
+    for name in ("h0", "h1", "h2", "h3", "size", "m"):
+        if getattr(args, name) is not None and name not in reads:
+            return _fail_usage(f"{args.kind} {args.action} takes no --{name}")
     flags = _gadget_flags(args, names)
     try:
         if args.action == "build":

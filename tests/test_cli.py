@@ -788,6 +788,21 @@ def test_gadget_usage_errors(capsys, tmp_path):
          "--h2", "1", "--h3", "2", "--c4"],
     )
     assert (code, out, err) == (2, "", "error: a unit takes no --c4\n")
+    # a size flag that the action and kind do not read is refused by name
+    for argv, flag in (
+        (["build", "hub", "--h1", "2", "--h2", "1", "--size", "5", "--m", "9"], "size"),
+        (["build", "hub", "--h0", "1", "--h1", "2", "--h2", "1"], "h0"),
+        (["build", "unit", "--h0", "1", "--h1", "1", "--h2", "1", "--h3", "2",
+          "--m", "1"], "m"),
+        (["build", "adjuster", "--size", "1", "--m", "1", "--h3", "2"], "h3"),
+        (["check", "hub", "--h1", "3"], "h1"),
+        (["check", "adjuster", "--size", "1"], "size"),
+    ):
+        action, kind = argv[:2]
+        code, out, err = run(capsys, ["gadget", *argv[:2], str(path), *argv[2:]])
+        assert (code, out, err) == (
+            2, "", f"error: {kind} {action} takes no --{flag}\n"
+        ), argv
     assert run(
         capsys,
         ["gadget", "build", "hub", str(path), "--h1", "2", "--h2", "1",
