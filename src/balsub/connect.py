@@ -1,9 +1,11 @@
-"""Short paths inside expanders: diameter-style bounds, robustness budgets,
-and deterministic set-to-set connection.
+"""Short paths inside expanders: path witnesses, the paper's diameter bound
+and robustness budget as formulas, and deterministic set-to-set connection.
 
 `short_connect` is the library's one shortest-path search: the unit spokes
-of the gadget layer call it directly.  Plain distances come from
-`Graph.bfs_distances`.
+of the gadget layer call it directly.  It finds a shortest path that avoids
+a given vertex set; nothing here searches for connections that survive
+vertex deletions, so `robust_budget` only evaluates the paper's formula.
+Plain distances come from `Graph.bfs_distances`.
 """
 
 from __future__ import annotations

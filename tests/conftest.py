@@ -1,6 +1,8 @@
 import inspect
+import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,15 @@ def pytest_runtest_logreport(report):
     if label is not None:
         verdict = "pass" if report.passed else "fail"
         print(f"\n{label}: {verdict}", flush=True)
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment for a subprocess that must import balsub from this
+    checkout's src/, whether or not the package is installed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture

@@ -452,7 +452,7 @@ def test_ac8_formula_regression():
 # -- AC-9 ----------------------------------------------------------------------
 
 
-def test_ac9_determinism(tmp_path):
+def test_ac9_determinism(tmp_path, src_env):
     files = {
         "kdd42": to_edge_list(kdd(4, 2)),
         "kdd92": to_edge_list(kdd(9, 2)),
@@ -471,6 +471,7 @@ def test_ac9_determinism(tmp_path):
         [sys.executable, "-m", "balsub", "find", paths["kdd42"], "--seed", "0"],
         capture_output=True,
         check=True,
+        env=src_env,
     )
     cert_path = tmp_path / "cert.json"
     cert_path.write_bytes(first.stdout)
@@ -493,7 +494,9 @@ def test_ac9_determinism(tmp_path):
     for argv in commands:
         runs = [
             subprocess.run(
-                [sys.executable, "-m", "balsub", *argv], capture_output=True
+                [sys.executable, "-m", "balsub", *argv],
+                capture_output=True,
+                env=src_env,
             )
             for _ in range(3)
         ]

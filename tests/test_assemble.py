@@ -6,14 +6,11 @@ Paper-mode constants are frozen from an independent 40-digit recomputation
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import balsub
 from balsub.assemble import (
     Overrides,
     RunConfig,
@@ -375,11 +372,10 @@ for name, (g, cfg) in cases.items():
 """
 
 
-def test_certificate_gates_survive_python_O():
-    src = str(Path(balsub.__file__).resolve().parent.parent)
+def test_certificate_gates_survive_python_O(src_env):
     done = subprocess.run(
         [sys.executable, "-O", "-c", _GATE_SCRIPT],
-        env={**os.environ, "PYTHONPATH": src},
+        env=src_env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -6,7 +6,6 @@ module-entry checks go through real subprocesses.
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -878,44 +877,41 @@ def test_drc_rejects_negative_retries(capsys, tmp_path):
 # -- process-level checks ----------------------------------------------------------
 
 
-def _module_run(argv, stdin_bytes=b""):
+def _module_run(env, argv, stdin_bytes=b""):
     return subprocess.run(
         [sys.executable, "-m", "balsub", *argv],
         input=stdin_bytes,
         capture_output=True,
+        env=env,
     )
 
 
-def test_module_entry_byte_determinism(tmp_path):
+def test_module_entry_byte_determinism(src_env):
     host = to_edge_list(kdd(4, 2)).encode()
-    first = _module_run(["find"], stdin_bytes=host)
-    second = _module_run(["find"], stdin_bytes=host)
+    first = _module_run(src_env, ["find"], stdin_bytes=host)
+    second = _module_run(src_env, ["find"], stdin_bytes=host)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
-    gen1 = _module_run(["gen", "gnp", "30", "0.4", "--seed", "9"])
-    gen2 = _module_run(["gen", "gnp", "30", "0.4", "--seed", "9"])
+    gen1 = _module_run(src_env, ["gen", "gnp", "30", "0.4", "--seed", "9"])
+    gen2 = _module_run(src_env, ["gen", "gnp", "30", "0.4", "--seed", "9"])
     assert gen1.stdout == gen2.stdout and gen1.returncode == 0
 
 
-def test_module_entry_requires_subcommand():
-    out = _module_run([])
+def test_module_entry_requires_subcommand(src_env):
+    out = _module_run(src_env, [])
     assert out.returncode == 2
 
 
-def test_cli_demo_runs():
+def test_cli_demo_runs(src_env):
     # every demo, so that one importing a deleted name fails here
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
-    )
     for runner, demo in (
         ("sh", "cli_demo.sh"),
         (sys.executable, "gadget_demo.py"),
         (sys.executable, "pipeline_demo.py"),
     ):
         out = subprocess.run(
-            [runner, str(root / "demos" / demo)], env=env, capture_output=True
+            [runner, str(root / "demos" / demo)], env=src_env, capture_output=True
         )
         assert out.returncode == 0, (demo, out.stderr.decode())
