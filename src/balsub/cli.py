@@ -205,34 +205,23 @@ def _emit_failure(failure: BuildFailure, flags: dict) -> int:
 # -- commands ------------------------------------------------------------------
 
 
-# family -> (generator, the types of its positional parameters); gnp also
-# takes the --seed it requires
-_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[type, ...]]] = {
-    "gnp": (gnp, (int, float)),
-    "kdd": (kdd, (int, int)),
-    "hypercube": (hypercube, (int,)),
-    "cycle": (cycle_graph, (int,)),
-    "incidence_plane": (incidence_plane, (int,)),
-    "complete": (complete_graph, (int,)),
+# family -> (generator, its parameters in order with their types); a "seed"
+# parameter is the family's required --seed flag, the others are positionals
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[tuple[str, type], ...]]] = {
+    "gnp": (gnp, (("n", int), ("p", float), ("seed", int))),
+    "kdd": (kdd, (("d", int), ("copies", int))),
+    "hypercube": (hypercube, (("dim", int),)),
+    "cycle": (cycle_graph, (("n", int),)),
+    "incidence_plane": (incidence_plane, (("q", int),)),
+    "complete": (complete_graph, (("n", int),)),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family.replace("-", "_")
-    if family not in _FAMILIES:
-        return _fail_usage(f"unknown family {args.family!r}")
-    make, types = _FAMILIES[family]
-    if len(args.params) != len(types):
-        return _fail_usage(
-            f"family {family} takes {len(types)} parameter(s), got {len(args.params)}"
-        )
-    seeded = family == "gnp"
-    if seeded and args.seed is None:
-        return _fail_usage("gnp is randomized; --seed is required")
+    make, params = _FAMILIES[args.family]
     try:
-        params = [kind(raw) for kind, raw in zip(types, args.params)]
-        g = make(*params, args.seed) if seeded else make(*params)
-    except (InvalidArgumentError, ValueError) as exc:
+        g = make(*(getattr(args, name) for name, _kind in params))
+    except InvalidArgumentError as exc:
         return _fail_usage(str(exc))
     sys.stdout.write(to_edge_list(g))
     return 0
@@ -342,47 +331,9 @@ def cmd_expander(args: argparse.Namespace) -> int:
     return 0 if verdict.status != "refuted" else 1
 
 
-def _gadget_flags(args: argparse.Namespace, names: tuple[str, ...]) -> dict:
-    """The flags the gadget kind reads, `names` from `_GADGETS`."""
-    flags = {
-        "action": args.action,
-        "gadget": args.kind,
-        "avoid": sorted(_parse_avoid(args.avoid)),
-    }
-    if "c4" in names:
-        flags["c4"] = args.c4
-    for name in names:
-        value = getattr(args, name)
-        if name != "c4" and value is not None:
-            flags[name] = value
-    return flags
-
-
-def cmd_gadget(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        avoid = _parse_avoid(args.avoid)
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail_usage(str(exc))
-    names = _GADGETS[args.kind][0]
-    if args.c4 and "c4" not in names:
-        return _fail_usage(f"a {args.kind} takes no --c4")
-    reads = names if args.action == "build" else ()
-    for name in ("h0", "h1", "h2", "h3", "size", "m"):
-        if getattr(args, name) is not None and name not in reads:
-            return _fail_usage(f"{args.kind} {args.action} takes no --{name}")
-    flags = _gadget_flags(args, names)
-    try:
-        if args.action == "build":
-            return _gadget_build(g, args, avoid, flags)
-        return _gadget_check(g, args, flags)
-    except (InvalidArgumentError, InvalidVertexError) as exc:
-        return _fail_usage(str(exc))
-
-
-# kind -> (the flags a build reads, in the builder's parameter order after
-# the host and the avoid list; builder; record writer; record reader;
-# validator)
+# kind -> (the flags a build takes besides --avoid, in the builder's
+# parameter order after the host and the avoid list; builder; record writer;
+# record reader; validator)
 _GADGETS = {
     "hub": (("h1", "h2", "c4"), build_hub, _hub_dict, _hub_from_dict, validate_hub),
     "unit": (
@@ -396,37 +347,31 @@ _GADGETS = {
 }
 
 
-def _gadget_build(
-    g: Graph, args: argparse.Namespace, avoid: tuple[int, ...], flags: dict
-) -> int:
-    names, build, write, _read, validate = _GADGETS[args.kind]
-    values = [getattr(args, name) for name in names]
-    if None in values:
-        options = [f"--{name}" for name in names if name != "c4"]
-        return _fail_usage(
-            f"{args.kind} build needs {', '.join(options[:-1])} and {options[-1]}"
-        )
-    result = build(g, avoid, *values)
-    if isinstance(result, BuildFailure):
-        return _emit_failure(result, flags)
-    body = write(result)
-    report = validate(g, result)
-    body["report"] = _report_dict(report)
-    body["flags"] = flags
-    _print_json(body)
-    return 0 if report.passed else 1
-
-
-def _gadget_check(g: Graph, args: argparse.Namespace, flags: dict) -> int:
-    if args.record is None:
-        return _fail_usage("check needs --record FILE with the gadget JSON")
+def cmd_gadget(args: argparse.Namespace) -> int:
+    names, build, write, read, validate = _GADGETS[args.kind]
+    flags: dict[str, Any] = {"action": args.action, "gadget": args.kind}
     try:
-        data = json.loads(_read_text(args.record))
-    except (OSError, json.JSONDecodeError) as exc:
+        g = _read_graph(args.graph)
+        if args.action == "check":
+            gadget = read(json.loads(_read_text(args.record)))
+        else:
+            avoid = _parse_avoid(args.avoid)
+            flags["avoid"] = sorted(avoid)
+            if "c4" in names:
+                flags["c4"] = args.c4  # records list it ahead of the sizes
+            flags.update((name, getattr(args, name)) for name in names)
+            gadget = build(g, avoid, *(flags[name] for name in names))
+            if isinstance(gadget, BuildFailure):
+                return _emit_failure(gadget, flags)
+        report = validate(g, gadget)
+    except (
+        InvalidArgumentError, InvalidVertexError, OSError, json.JSONDecodeError
+    ) as exc:
         return _fail_usage(str(exc))
-    _names, _build, _write, read, validate = _GADGETS[args.kind]
-    report = validate(g, read(data))
-    body = _report_dict(report)
+    if args.action == "check":
+        body = _report_dict(report)
+    else:
+        body = {**write(gadget), "report": _report_dict(report)}
     body["flags"] = flags
     _print_json(body)
     return 0 if report.passed else 1
@@ -484,12 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a graph family as an edge list")
-    p_gen.add_argument(
-        "family",
-        help=" | ".join(_FAMILIES),
+    families = p_gen.add_subparsers(
+        dest="family", metavar="family", help=" | ".join(_FAMILIES), required=True
     )
-    p_gen.add_argument("params", nargs="*", help="family parameters")
-    p_gen.add_argument("--seed", type=int, default=None)
+    for family, (_make, params) in _FAMILIES.items():
+        aliases = [family.replace("_", "-")] if "_" in family else []
+        p_family = families.add_parser(family, aliases=aliases)
+        for name, kind in params:
+            if name == "seed":
+                p_family.add_argument("--seed", type=kind, required=True)
+            else:
+                p_family.add_argument(name, type=kind)
+        # an alias names its family too
+        p_family.set_defaults(family=family)
     p_gen.set_defaults(func=cmd_gen)
 
     p_find = sub.add_parser("find", help="run the subdivision pipeline")
@@ -523,18 +475,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_expander)
 
     p_gad = sub.add_parser("gadget", help="build or check a structural gadget")
-    p_gad.add_argument("action", choices=("build", "check"))
-    p_gad.add_argument("kind", choices=tuple(_GADGETS))
-    p_gad.add_argument("graph", nargs="?", default="-")
-    p_gad.add_argument("--h0", type=int, default=None)
-    p_gad.add_argument("--h1", type=int, default=None)
-    p_gad.add_argument("--h2", type=int, default=None)
-    p_gad.add_argument("--h3", type=int, default=None)
-    p_gad.add_argument("--size", type=int, default=None)
-    p_gad.add_argument("--m", type=int, default=None)
-    p_gad.add_argument("--avoid", type=str, default=None)
-    p_gad.add_argument("--c4", action="store_true")
-    p_gad.add_argument("--record", type=str, default=None)
+    actions = p_gad.add_subparsers(dest="action", required=True)
+    builds = actions.add_parser("build").add_subparsers(dest="kind", required=True)
+    checks = actions.add_parser("check").add_subparsers(dest="kind", required=True)
+    for kind, (names, *_rest) in _GADGETS.items():
+        p_build = builds.add_parser(kind)
+        p_build.add_argument("graph", nargs="?", default="-")
+        for name in names:
+            if name == "c4":
+                p_build.add_argument("--c4", action="store_true")
+            else:
+                p_build.add_argument(f"--{name}", type=int, required=True)
+        p_build.add_argument("--avoid", type=str, default=None)
+        p_check = checks.add_parser(kind)
+        p_check.add_argument("graph", nargs="?", default="-")
+        p_check.add_argument("--record", type=str, required=True)
     p_gad.set_defaults(func=cmd_gadget)
 
     p_drc = sub.add_parser(
