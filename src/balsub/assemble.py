@@ -24,8 +24,8 @@ from .connect import PathWitness
 from .drc import NODE_BUDGET, dense_tk2
 from .expander import (
     EXHAUSTIVE_CAP,
-    BipartiteExpander,
     ExpansionProfile,
+    ExtractionResult,
     extract_bipartite_expander,
     kst_free_profile_transform,
 )
@@ -241,7 +241,6 @@ def find_balanced_subdivision(
     for unit in kept:
         assert not (unit.interior() & interiors), "unit interiors overlap"
         interiors |= unit.interior()
-    cores = [unit.core for unit in kept]
 
     usage: set[int] = set()
     hub_free = {i: list(range(len(unit.hubs))) for i, unit in enumerate(kept)}
@@ -348,7 +347,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
         f"profile k={k_profile:.9f}"
     )
 
-    expander: Optional[BipartiteExpander] = None
+    expander: Optional[ExtractionResult] = None
     try:
         expander = extract_bipartite_expander(
             g, d1, profile, cap=cfg.overrides.exhaustive_cap, seed=cfg.seed

@@ -152,8 +152,7 @@ def verify_expander(
     candidates = [comp for comp in comps if lo <= len(comp) <= hi]
     by_degree = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
     for size in {lo, (lo + hi) // 2, hi}:
-        if lo <= size <= hi:
-            candidates.append(frozenset(by_degree[:size]))
+        candidates.append(frozenset(by_degree[:size]))
     for _ in range(trials):
         size = rng.randint(lo, hi)
         start = rng.randrange(g.n)
@@ -252,24 +251,13 @@ def extract_expander(
         ids = tuple(ids[cand_ids[i]] for i in core_ids)
 
 
-@dataclass(frozen=True)
-class BipartiteExpander:
-    """Bipartite expanding subgraph with min degree >= d, id table, sides
-    (in subgraph ids), and the attached verification verdict."""
-
-    graph: Graph
-    ids: tuple[int, ...]
-    sides: tuple[frozenset[int], frozenset[int]]
-    verdict: ExpanderVerdict
-
-
 def extract_bipartite_expander(
     g: Graph,
     d: Fraction | float,
     profile: ExpansionProfile,
     cap: int = EXHAUSTIVE_CAP,
     seed: int = 0,
-) -> BipartiteExpander:
+) -> ExtractionResult:
     """Bipartite expander H inside G with min degree >= d.
 
     Requires d(G) >= 8d.  Takes the crossing half (keeps half the edges),
@@ -292,11 +280,7 @@ def extract_bipartite_expander(
             f"min-degree floor {t} emptied the expanding subgraph"
         )
     ids = tuple(res.ids[i] for i in core_ids)
-    coloring = core.two_coloring()
-    assert coloring is not None, "crossing subgraph must stay bipartite"
-    side0 = frozenset(v for v in core.vertices() if coloring[v] == 0)
-    side1 = frozenset(v for v in core.vertices() if coloring[v] == 1)
-    return BipartiteExpander(core, ids, (side0, side1), res.verdict)
+    return ExtractionResult(core, ids, res.verdict)
 
 
 def kst_free_profile_transform(

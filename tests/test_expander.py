@@ -338,9 +338,6 @@ def test_bipartite_extraction_on_k1616():
     h = res.graph
     assert min(h.degree(v) for v in h.vertices()) >= 2
     assert h.two_coloring() is not None
-    side0, side1 = res.sides
-    for u, v in h.edges():
-        assert (u in side0) != (v in side0)
 
 
 def test_bipartite_extraction_density_threshold():

@@ -271,3 +271,71 @@ def test_no_function_in_the_package_calls_itself():
         if (calls := self_calls(path.read_text(encoding="utf-8")))
     }
     assert found == _RECURSION_ALLOWED
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names a function assigns and never reads, neither itself nor in a
+    function nested in it, as `function: name (line n)` at the first
+    assignment.  Names that start with `_` are meant to go unread, and names
+    declared global or nonlocal belong to another scope."""
+    found: list[str] = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        declared: set[str] = set()
+        todo = list(func.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+            # a nested scope's assignments are its own
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+            ):
+                todo.extend(ast.iter_child_nodes(node))
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        found += [
+            f"{func.name}: {name} (line {line})"
+            for name, line in sorted(stored.items(), key=lambda item: item[1])
+            if not name.startswith("_") and name not in read | declared
+        ]
+    return found
+
+
+def test_unread_locals_are_flagged():
+    source = (
+        "def outer(xs):\n"
+        "    cap = 3\n"
+        "    spare = len(xs)\n"
+        "    _skipped = 1\n"
+        "    total = 0\n"
+        "    def inner():\n"
+        "        nonlocal total\n"
+        "        total = cap\n"
+        "        seen = len(xs)\n"
+        "    half, rest = divmod(len(xs), 2)\n"
+        "    for x in xs:\n"
+        "        total += x\n"
+        "    return total, half, inner\n"
+    )
+    assert unread_locals(source) == [
+        "outer: spare (line 3)",
+        "outer: rest (line 10)",
+        "inner: seen (line 9)",
+    ]
+
+
+def test_no_function_in_the_package_assigns_a_name_it_never_reads():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unread_locals(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
