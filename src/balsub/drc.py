@@ -225,7 +225,8 @@ def dense_tk2(
     whose subsets are rich in common neighbors.  Three prunes cut only
     subtrees that hold no TK_k^(2), so the first embedding in that order is
     the one returned and, within the node budget, the answer is exact:
-    a certificate, or a refutation that says no TK_k^(2) exists.
+    a certificate, or a "no_embedding" refutation that says no TK_k^(2)
+    exists.  A search that spends its budget first is "budget_exhausted".
 
     - Side bound: branch vertices have degree >= k-1, and in a bipartite
       component they share a side with k such vertices and C(k,2)
@@ -328,7 +329,7 @@ def dense_tk2(
                 return cert
     except SearchBudgetExceeded:
         return BuildFailure(
-            "no_embedding", f"search budget of {node_budget} nodes exhausted"
+            "budget_exhausted", f"search budget of {node_budget} nodes exhausted"
         )
     if len(refutations) == len(comps):
         return BuildFailure("no_embedding", "; ".join(dict.fromkeys(refutations)))

@@ -258,9 +258,11 @@ def test_dense_embedding_failures():
     small = dense_tk2(complete_graph(10), 5)
     assert isinstance(small, BuildFailure)
     assert "15 vertices" in small.detail
+    # a spent budget is told apart from a refutation
     capped = dense_tk2(complete_graph(10), 3, node_budget=0)
     assert isinstance(capped, BuildFailure)
-    assert "budget" in capped.detail
+    assert capped.reason == "budget_exhausted"
+    assert capped.detail == "search budget of 0 nodes exhausted"
     # the bipartite side bound refutes these before the first search node:
     # C(k,2) middles cannot fit on a side of 20 or 14 vertices
     for host, k, opposite in (
