@@ -38,7 +38,8 @@ if __name__ == "__main__":
     show("K_12", complete_graph(12), desk)
 
     # point-line incidence graph of a projective plane: no 4-cycles at all,
-    # so the pipeline switches the expansion profile with the kappa=d rule
+    # so it runs under the linear rule, which sets the profile's
+    # k = epsilon2 * (d/8)^2 and records the s = t = 2 transform in the trace
     show(
         "incidence plane q=5",
         incidence_plane(5),
