@@ -163,7 +163,7 @@ def find_balanced_subdivision(
     """
     trace = trace if trace is not None else PipelineTrace()
     if g.n == 0:
-        return BuildFailure("no_units", "empty host", partial=trace)
+        return BuildFailure("no_units", "empty host")
 
     ov = cfg.overrides
     ell = ov.ell
@@ -204,11 +204,7 @@ def find_balanced_subdivision(
         )
     trace.units = list(units)
     if len(units) < 2:
-        return BuildFailure(
-            "no_units",
-            f"only {len(units)} unit(s) fit the host",
-            partial=trace,
-        )
+        return BuildFailure("no_units", f"only {len(units)} unit(s) fit the host")
 
     coloring = g.two_coloring()
     if coloring is not None:
@@ -226,9 +222,7 @@ def find_balanced_subdivision(
     else:
         kept = units
     if len(kept) < 2:
-        return BuildFailure(
-            "no_units", "pigeonholing left fewer than two units", partial=trace
-        )
+        return BuildFailure("no_units", "pigeonholing left fewer than two units")
 
     max_spoke = max(s.length for unit in kept for s in unit.spokes)
     if ell is None:
@@ -311,7 +305,6 @@ def find_balanced_subdivision(
         "connection_stalled",
         f"no clique of connected units (built {len(kept)}, "
         f"{len(glued)} pairs joined)",
-        partial=trace,
     )
 
 
@@ -398,6 +391,8 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
                 return PipelineOutcome(
                     "dense_fallback", trace, certificate=attempt
                 )
+            if attempt.reason == "budget_exhausted":
+                trace.add(f"dense route: TK_{k} {attempt.reason} ({attempt.detail})")
             if ov.target_k is not None:
                 break
         trace.add("dense route: no embedding")
@@ -420,9 +415,7 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
     return PipelineOutcome(
         "failure",
         trace,
-        failure=BuildFailure(
-            "pipeline_exhausted", "no route produced a certificate", partial=trace
-        ),
+        failure=BuildFailure("pipeline_exhausted", "no route produced a certificate"),
     )
 
 

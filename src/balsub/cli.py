@@ -60,24 +60,15 @@ def _print_json(obj: Any) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _fail_usage(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return 2
-
-
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_graph(path: str) -> Graph:
-    """The graph in an edge-list file; a malformed list, an edge between
-    ids outside the stated vertex count included, is a usage error."""
+    """The text at `path`, or on stdin for "-"; a read that fails is a
+    usage error with the OSError's text."""
     try:
-        return from_edge_list(_read_text(path))
-    except InvalidVertexError as exc:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
         raise InvalidArgumentError(str(exc)) from exc
 
 
@@ -219,10 +210,7 @@ _FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[tuple[str, type], ...]]] 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     make, params = _FAMILIES[args.family]
-    try:
-        g = make(*(getattr(args, name) for name, _kind in params))
-    except InvalidArgumentError as exc:
-        return _fail_usage(str(exc))
+    g = make(*(getattr(args, name) for name, _kind in params))
     sys.stdout.write(to_edge_list(g))
     return 0
 
@@ -257,12 +245,8 @@ def _outcome_failure_dict(outcome: PipelineOutcome) -> dict:
 
 
 def cmd_find(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        cfg = _config_from_args(args)
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail_usage(str(exc))
-    outcome = top_level(g, cfg)
+    g = from_edge_list(_read_text(args.graph))
+    outcome = top_level(g, _config_from_args(args))
     if args.trace:
         for entry in outcome.trace.entries:
             sys.stderr.write(f"trace: {entry}\n")
@@ -281,12 +265,13 @@ def cmd_find(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        payload = json.loads(_read_text(args.certificate))
-        cert = SubdivisionCertificate.from_json_dict(payload)
-    except (InvalidArgumentError, OSError, json.JSONDecodeError) as exc:
-        return _fail_usage(str(exc))
+    if args.graph == args.certificate == "-":
+        raise InvalidArgumentError(
+            "the graph and the certificate cannot both be read from stdin"
+        )
+    g = from_edge_list(_read_text(args.graph))
+    payload = json.loads(_read_text(args.certificate))
+    cert = SubdivisionCertificate.from_json_dict(payload)
     report = verify_subdivision(g, cert)
     for clause in report.clauses:
         status = "ok" if clause.passed else "FAIL"
@@ -296,23 +281,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_expander(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-        profile = ExpansionProfile(args.epsilon1, args.k)
-        if args.mode == "sampled" and args.seed is None:
-            return _fail_usage("sampled mode is randomized; --seed is required")
-        if args.trials < 0:
-            return _fail_usage("--trials must be >= 0")
-        verdict = verify_expander(
-            g,
-            profile,
-            mode=args.mode,
-            trials=args.trials,
-            seed=args.seed if args.seed is not None else 0,
-            cap=args.exhaustive_cap,
-        )
-    except (InvalidArgumentError, EmptyGraphError, TooLargeError, OSError) as exc:
-        return _fail_usage(str(exc))
+    g = from_edge_list(_read_text(args.graph))
+    profile = ExpansionProfile(args.epsilon1, args.k)
+    if args.mode == "sampled" and args.seed is None:
+        raise InvalidArgumentError("sampled mode is randomized; --seed is required")
+    if args.trials < 0:
+        raise InvalidArgumentError("--trials must be >= 0")
+    verdict = verify_expander(
+        g,
+        profile,
+        mode=args.mode,
+        trials=args.trials,
+        seed=args.seed if args.seed is not None else 0,
+        cap=args.exhaustive_cap,
+    )
     _print_json(
         {
             "status": verdict.status,
@@ -350,24 +332,23 @@ _GADGETS = {
 def cmd_gadget(args: argparse.Namespace) -> int:
     names, build, write, read, validate = _GADGETS[args.kind]
     flags: dict[str, Any] = {"action": args.action, "gadget": args.kind}
-    try:
-        g = _read_graph(args.graph)
-        if args.action == "check":
-            gadget = read(json.loads(_read_text(args.record)))
-        else:
-            avoid = _parse_avoid(args.avoid)
-            flags["avoid"] = sorted(avoid)
-            if "c4" in names:
-                flags["c4"] = args.c4  # records list it ahead of the sizes
-            flags.update((name, getattr(args, name)) for name in names)
-            gadget = build(g, avoid, *(flags[name] for name in names))
-            if isinstance(gadget, BuildFailure):
-                return _emit_failure(gadget, flags)
-        report = validate(g, gadget)
-    except (
-        InvalidArgumentError, InvalidVertexError, OSError, json.JSONDecodeError
-    ) as exc:
-        return _fail_usage(str(exc))
+    if args.action == "check" and args.graph == args.record == "-":
+        raise InvalidArgumentError(
+            "the graph and the record cannot both be read from stdin"
+        )
+    g = from_edge_list(_read_text(args.graph))
+    if args.action == "check":
+        gadget = read(json.loads(_read_text(args.record)))
+    else:
+        avoid = _parse_avoid(args.avoid)
+        flags["avoid"] = sorted(avoid)
+        if "c4" in names:
+            flags["c4"] = args.c4  # records list it ahead of the sizes
+        flags.update((name, getattr(args, name)) for name in names)
+        gadget = build(g, avoid, *(flags[name] for name in names))
+        if isinstance(gadget, BuildFailure):
+            return _emit_failure(gadget, flags)
+    report = validate(g, gadget)
     if args.action == "check":
         body = _report_dict(report)
     else:
@@ -378,23 +359,20 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 
 
 def cmd_drc(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.graph)
-    except (InvalidArgumentError, OSError) as exc:
-        return _fail_usage(str(exc))
+    g = from_edge_list(_read_text(args.graph))
     if args.n1 is not None:
         if not 0 < args.n1 < g.n:
-            return _fail_usage(f"--n1 must split 0..{g.n - 1}")
+            raise InvalidArgumentError(f"--n1 must split 0..{g.n - 1}")
         side1 = frozenset(range(args.n1))
         side2 = frozenset(range(args.n1, g.n))
     else:
         coloring = g.two_coloring()
         if coloring is None:
-            return _fail_usage("host is not bipartite; pass --n1 to split sides")
+            raise InvalidArgumentError("host is not bipartite; pass --n1 to split sides")
         side1 = frozenset(v for v in g.vertices() if coloring[v] == 0)
         side2 = frozenset(v for v in g.vertices() if coloring[v] == 1)
     if args.max_retries < 0:
-        return _fail_usage("--max-retries must be >= 0")
+        raise InvalidArgumentError("--max-retries must be >= 0")
     flags = {
         "t": args.t,
         "r": args.r,
@@ -404,13 +382,10 @@ def cmd_drc(args: argparse.Namespace) -> int:
         "n1": args.n1,
         "max_retries": args.max_retries,
     }
-    try:
-        params = DrcParams(args.t, args.r, args.c, args.a)
-        result = drc_select(
-            g, (side1, side2), params, args.seed, max_retries=args.max_retries
-        )
-    except (InvalidArgumentError, EmptyGraphError) as exc:
-        return _fail_usage(str(exc))
+    params = DrcParams(args.t, args.r, args.c, args.a)
+    result = drc_select(
+        g, (side1, side2), params, args.seed, max_retries=args.max_retries
+    )
     if isinstance(result, BuildFailure):
         return _emit_failure(result, flags)
     _print_json({"a0": sorted(result), "size": len(result), "flags": flags})
@@ -511,7 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one place a bad input becomes a usage error
+    try:
+        return args.func(args)
+    except (
+        InvalidArgumentError, InvalidVertexError, EmptyGraphError, TooLargeError,
+        json.JSONDecodeError,
+    ) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

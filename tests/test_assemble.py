@@ -169,6 +169,15 @@ def test_route_units_when_dense_is_disabled():
     assert not any("dense route" in e for e in out.trace.entries)
 
 
+def test_dense_trace_names_each_spent_budget():
+    # with no search node to spend, every k runs out of budget unrefuted
+    out = top_level(kdd(9, 2), RunConfig(overrides=Overrides(node_budget=0)))
+    assert [e for e in out.trace.entries if e.startswith("dense route")] == [
+        f"dense route: TK_{k} budget_exhausted (search budget of 0 nodes exhausted)"
+        for k in (4, 3, 2)
+    ] + ["dense route: no embedding"]
+
+
 def test_route_sparse_by_override():
     out = top_level(
         cycle_graph(9), RunConfig(overrides=Overrides(sparse_threshold=100.0))

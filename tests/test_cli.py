@@ -5,6 +5,7 @@ module-entry checks go through real subprocesses.
 """
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -32,8 +33,6 @@ from balsub.graph import Graph
 
 def run(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     try:
         code = main(argv)
@@ -234,6 +233,25 @@ def test_verify_usage_errors(capsys, tmp_path):
     empty.write_text("{}")
     assert run(capsys, ["verify", str(gpath), str(empty)])[0] == 2
     assert run(capsys, ["verify", str(tmp_path / "no.txt"), str(broken)])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, second",
+    [
+        (["verify", "-", "-"], "certificate"),
+        (["gadget", "check", "hub", "--record", "-"], "record"),
+        (["gadget", "check", "unit", "-", "--record", "-"], "record"),
+    ],
+    ids=["verify", "gadget-check-no-path", "gadget-check-dash"],
+)
+def test_two_inputs_on_stdin_are_refused_unread(capsys, monkeypatch, argv, second):
+    # the second read of one stdin would get an empty document
+    stdin = io.StringIO(to_edge_list(cycle_graph(6)))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: the graph and the {second} cannot both be read from stdin\n"
+    assert stdin.tell() == 0
 
 
 # -- expander ---------------------------------------------------------------------

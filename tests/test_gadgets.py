@@ -678,8 +678,13 @@ def test_unit_validator_rejects_tampering():
     assert not clause_map(validate_unit(g, wrong))["spokes_valid"]
 
     # exterior shrinks when layers are shared between hubs
+    # h1's first branch takes the second layer under h0's first branch z0
     z0 = h0.first_layer[0]
-    stolen = Hub(h1.center, h1.first_layer, ((h1.first_layer[0], h0.second_layers[0][1]), h1.second_layers[1]))
+    stolen = Hub(
+        h1.center,
+        h1.first_layer,
+        ((h1.first_layer[0], dict(h0.second_layers)[z0]), h1.second_layers[1]),
+    )
     merged = Unit(u.core, (h0, stolen), u.spokes, u.spoke_cap)
     cm = clause_map(validate_unit(g, merged))
     assert not cm["hubs_disjoint"]

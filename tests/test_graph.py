@@ -284,6 +284,8 @@ def test_bipartite_half_keeps_half_the_edges():
 def test_bipartite_half_property(n, seed):
     g = gnp(n, 0.4, seed)
     half, (part0, part1) = bipartite_half(g)
+    assert not part0 & part1
+    assert part0 | part1 == frozenset(g.vertices())
     assert 2 * half.edge_count() >= g.edge_count()
     for u, v in half.edges():
         assert (u in part0) != (v in part0)

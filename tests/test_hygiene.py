@@ -332,10 +332,13 @@ def test_unread_locals_are_flagged():
     ]
 
 
-def test_no_function_in_the_package_assigns_a_name_it_never_reads():
+def test_no_function_assigns_a_name_it_never_reads():
+    paths = sorted(PACKAGE.glob("*.py"))
+    for folder in ("tests", "demos"):
+        paths += sorted((ROOT / folder).glob("*.py"))
     found = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.parent.name}/{path.name}": names
+        for path in paths
         if (names := unread_locals(path.read_text(encoding="utf-8")))
     }
     assert found == {}
