@@ -62,7 +62,8 @@ def _print_json(obj: Any) -> None:
 
 def _read_text(path: str) -> str:
     """The text at `path`, or on stdin for "-"; a read that fails is a
-    usage error with the OSError's text."""
+    usage error with the OSError's text, and so is text that is not UTF-8,
+    with the input's name."""
     try:
         if path == "-":
             return sys.stdin.read()
@@ -70,6 +71,9 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise InvalidArgumentError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise InvalidArgumentError(f"{source}: {exc}") from exc
 
 
 def _parse_avoid(raw: str | None) -> tuple[int, ...]:

@@ -1,13 +1,20 @@
-"""Deterministic graph families and the canonical edge-list text format.
+"""Deterministic graph families and the edge-list text format.
 
 The text format is one header line ``n <vertex_count>`` followed by one
-``u v`` line per edge with ``u < v``, sorted lexicographically.  Equal
-graphs always serialize to identical bytes.
+``u v`` line per edge, with ``u < v`` and both ids in ``0..n-1``.
+`from_edge_list` accepts the lines in any order, collapses repeated lines
+into one edge, and ignores blank lines and whitespace around and between
+the numbers.  `to_edge_list` emits the canonical form: each edge once,
+sorted lexicographically, one space between the ids and ``\n`` after each
+line.  Equal graphs always serialize to identical bytes, and canonical text
+is the form `from_edge_list` reads in bulk.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from operator import lt
 
 from .graph import Graph
 from .outcomes import InvalidArgumentError
@@ -138,12 +145,33 @@ def incidence_plane(q: int) -> Graph:
 
 
 def to_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """The canonical text of `g`.  Each vertex's higher neighbours become
+    its run of ``u v`` lines in one `str.join`, with the ids' strings taken
+    from a table built once per call."""
+    names = list(map(str, range(g.n)))
+    chunks = [f"n {g.n}\n"]
+    for u in g.vertices():
+        nbrs = g.neighbors(u)
+        higher = nbrs[bisect_right(nbrs, u):]
+        if higher:
+            start = f"{u} "
+            chunks.append(start + f"\n{start}".join(map(names.__getitem__, higher)) + "\n")
+    return "".join(chunks)
 
 
 def from_edge_list(text: str) -> Graph:
+    """The graph an edge-list document describes.
+
+    Accepts more than the canonical form: the lines may come in any order,
+    a repeated line is one edge, and blank lines and whitespace around and
+    between the numbers are ignored.  Each edge line still needs ``u < v``,
+    and both ids inside ``0..n-1``.  Canonical text is read in bulk; any
+    other text, or a bad one, goes through the line loop below, which names
+    the first bad line.
+    """
+    g = _from_canonical_text(text)
+    if g is not None:
+        return g
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidArgumentError("empty edge-list document")
@@ -167,3 +195,54 @@ def from_edge_list(text: str) -> Graph:
             raise InvalidArgumentError(f"edge line not in u < v form: {ln!r}")
         edges.append((u, v))
     return Graph(n, edges)
+
+
+# Canonical text is read in blocks of about this many characters: a split
+# of the whole text at once would hold one string per id of the document.
+_BLOCK = 1 << 14
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _from_canonical_text(text: str) -> Graph | None:
+    """The graph of `text` when every line is in canonical form, else None.
+
+    Each check is a C-level pass over a block: with its ASCII digits
+    deleted, a block of k lines must read ``" \\n" * k``; it must split into
+    2k tokens; and each token must be a key of a table of the strings
+    ``str(i)``, which turns away leading zeros and ids out of range.  Line
+    order is left to `Graph.from_ends`.
+    """
+    end = text.find("\n")
+    count = text[2:end]
+    if end < 0 or not (
+        text.startswith("n ") and count.isascii() and count.isdigit() and text.endswith("\n")
+    ):
+        return None  # past here every block ends at a newline
+    n = int(count)
+    # the table grows with the text, not with n: a line names two ids, so
+    # an id past the table leaves isolated vertices below it, and such a
+    # document takes the line loop
+    size = min(n, 2 * text.count("\n"))
+    id_of = dict(zip(map(str, range(size)), range(size)))
+    us: list[int] = []
+    vs: list[int] = []
+    start = end + 1
+    while start < len(text):
+        stop = text.find("\n", min(start + _BLOCK, len(text)) - 1) + 1
+        block = text[start:stop]
+        lines = block.count("\n")
+        if block.translate(_DROP_DIGITS) != " \n" * lines:
+            return None
+        tokens = block.split()
+        if len(tokens) != 2 * lines:
+            return None
+        try:
+            ends = list(map(id_of.__getitem__, tokens))
+        except KeyError:
+            return None
+        us += ends[0::2]
+        vs += ends[1::2]
+        start = stop
+    if not all(map(lt, us, vs)):
+        return None
+    return Graph.from_ends(n, us, vs)

@@ -8,16 +8,19 @@ lift results back to the host graph.
 The kernels the unit route leans on (`Graph.two_coloring`,
 `bipartite_half`, `core_levels`) work on the cached bitset adjacency, one
 big-int operation per vertex rather than one step per edge.  Graphs this
-module derives from a checked one (`Graph.induced`, `bipartite_half`) are
-built by the unchecked `Graph._of`, which no other module calls.
+module derives from a checked one (`Graph.induced`, `bipartite_half`), and
+those `Graph.from_ends` has checked in bulk, are built by the unchecked
+`Graph._of`, which no other module calls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice, pairwise
+from operator import lt
 from typing import Iterable
 
 from .outcomes import EmptyGraphError, InvalidArgumentError, InvalidVertexError
@@ -64,6 +67,32 @@ class Graph:
         g._adj = adj
         g._masks = masks
         return g
+
+    @classmethod
+    def from_ends(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
+        """`Graph(n, zip(us, vs))`, built in bulk when the edges come as
+        canonical edge-list text lists them.
+
+        That is: each ``0 <= us[i] < vs[i] < n``, and the pairs strictly
+        increasing.  C-level passes over the lists check this, so no edge is
+        checked on its own.  Each vertex's higher neighbours are then one
+        slice of `vs`, and only its lower ones take a Python loop.  Any other
+        lists go to the constructor, which sorts them or names the first bad
+        edge.
+        """
+        if n >= 0 and (not us or us[0] >= 0 and us[-1] < n and sorted(us) == us):
+            bounds = [bisect_left(us, u) for u in range(n + 1)]
+            higher = [vs[a:b] for a, b in pairwise(bounds)]
+            # a run above u must start past u, end below n and increase
+            if all(
+                not run or u < run[0] and run[-1] < n and all(map(lt, run, islice(run, 1, None)))
+                for u, run in enumerate(higher)
+            ):
+                lower: list[list[int]] = [[] for _ in range(n)]
+                for u, v in zip(us, vs):
+                    lower[v].append(u)
+                return cls._of(tuple(tuple(a + b) for a, b in zip(lower, higher)))
+        return cls(n, zip(us, vs))
 
     # -- basic accessors ---------------------------------------------------
 

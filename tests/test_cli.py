@@ -153,6 +153,26 @@ def test_find_usage_errors(capsys, tmp_path):
     assert run(capsys, ["find", str(bad)])[0] == 2
 
 
+_NOT_UTF8 = b"n 3\n0 1\n\xff\xfe"
+_DECODE_ERROR = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+
+
+def test_find_refuses_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(_NOT_UTF8)
+    code, out, err = run(capsys, ["find", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {_DECODE_ERROR}\n"
+
+
+def test_find_refuses_stdin_that_is_not_utf8(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(_NOT_UTF8), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(capsys, ["find"])
+    assert (code, out) == (2, "")
+    assert err == f"error: stdin: {_DECODE_ERROR}\n"
+
+
 def test_find_exhaustive_cap(capsys, tmp_path):
     path = tmp_path / "k20.txt"
     path.write_text(to_edge_list(complete_graph(20)))
