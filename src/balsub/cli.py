@@ -4,13 +4,17 @@ certificate verification, and gadget inspection.
 Every command is deterministic under explicit flags and seeds: JSON output
 uses fixed key order, reals are rounded to 9 decimal places, and seeds
 have no wall-clock fallback.  Exit codes: 0 success with certificate or
-structure, 1 structured failure, 2 usage or parse error.
+structure, 1 structured failure or a stdout its reader closed, 2 usage or
+parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from typing import Any, Callable, Sequence
 
@@ -492,13 +496,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # the one place a bad input becomes a usage error
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that closed stdout early shows up here, not at exit
+        sys.stdout.flush()
+        return status
     except (
         InvalidArgumentError, InvalidVertexError, EmptyGraphError, TooLargeError,
         json.JSONDecodeError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        # as the SIGPIPE note of the `signal` docs does: point stdout's
+        # descriptor at devnull so that the flush at exit cannot raise
+        # again; an in-process stdout may have no descriptor to point
+        with contextlib.suppress(io.UnsupportedOperation):
+            stdout_fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
+        return 1
 
 
 if __name__ == "__main__":

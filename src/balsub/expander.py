@@ -96,11 +96,16 @@ def verify_expander(
 ) -> ExpanderVerdict:
     """Check |N(X)| >= eps(|X|)|X| over k/2 <= |X| <= n/2.
 
-    Exhaustive mode enumerates every candidate set (refusing hosts larger
-    than `cap`); sampled mode checks whole components, low-degree prefixes,
-    and randomly grown connected sets, and can only refute or report
-    "sampled_ok".  On a connected host, sampled mode first tries a
-    degree/connectivity lower bound on |N(X)|; when it meets the need
+    Every check compares the integer |N(X)| with one integer threshold per
+    size, ceil(eps(s) * s), which holds exactly when the real need does.
+    Exhaustive mode walks every candidate set in lexicographic order,
+    size by size (refusing hosts larger than `cap`): the sets that share
+    all but their last vertex share one OR of their masks, so each set
+    costs one OR, one mask and one popcount, and the witness is the first
+    failing set.  Sampled mode checks whole components, low-degree
+    prefixes, and randomly grown connected sets, and can only refute or
+    report "sampled_ok".  On a connected host, sampled mode first tries a
+    degree/connectivity lower bound on |N(X)|; when it meets the threshold
     at every size, no set can fail and none is drawn, and sets_checked is
     the count the loop would have checked.
     """
@@ -112,27 +117,33 @@ def verify_expander(
         return ExpanderVerdict("certified", 0)
 
     masks = g.neighbor_masks()
-
-    def violates(xs: tuple[int, ...] | frozenset[int]) -> bool:
-        xmask = 0
-        nmask = 0
-        for v in xs:
-            xmask |= 1 << v
-            nmask |= masks[v]
-        nbrs = (nmask & ~xmask).bit_count()
-        return nbrs < epsilon_of(len(xs), profile) * len(xs)
+    # |N(X)| < need exactly when |N(X)| < ceil(need), for an integer count;
+    # a need of n or more fails every set, so clamping it keeps ceil finite
+    thresholds = {s: math.ceil(min(epsilon_of(s, profile) * s, g.n)) for s in sizes}
 
     if mode == "exhaustive":
         if g.n > cap:
             raise TooLargeError(
                 f"exhaustive verification capped at {cap} vertices, got {g.n}"
             )
+        n = g.n
         checked = 0
         for size in sizes:
-            for xs in combinations(range(g.n), size):
-                checked += 1
-                if violates(xs):
-                    return ExpanderVerdict("refuted", checked, frozenset(xs))
+            t = thresholds[size]
+            # combinations(range(n), size) in order: each prefix, then
+            # every last vertex after it
+            for prefix in combinations(range(n - 1), size - 1):
+                xm = 0
+                nm = 0
+                for v in prefix:
+                    xm |= 1 << v
+                    nm |= masks[v]
+                for j in range(prefix[-1] + 1 if prefix else 0, n):
+                    checked += 1
+                    if ((nm | masks[j]) & ~(xm | 1 << j)).bit_count() < t:
+                        return ExpanderVerdict(
+                            "refuted", checked, frozenset((*prefix, j))
+                        )
         return ExpanderVerdict("certified", checked)
 
     if mode != "sampled":
@@ -141,7 +152,7 @@ def verify_expander(
     lo, hi = sizes.start, sizes.stop - 1
     comps = g.components()
     if len(comps) == 1 and all(
-        bound >= epsilon_of(s, profile) * s
+        bound >= thresholds[s]
         for s, bound in zip(sizes, _external_lower_bounds(g, sizes))
     ):
         # the loop below would keep each distinct degree prefix and grow every
@@ -172,7 +183,12 @@ def verify_expander(
     checked = 0
     for xs in candidates:
         checked += 1
-        if violates(xs):
+        xmask = 0
+        nmask = 0
+        for v in xs:
+            xmask |= 1 << v
+            nmask |= masks[v]
+        if (nmask & ~xmask).bit_count() < thresholds[len(xs)]:
             return ExpanderVerdict("refuted", checked, frozenset(xs))
     return ExpanderVerdict("sampled_ok", checked)
 

@@ -7,6 +7,7 @@ module-entry checks go through real subprocesses.
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -951,6 +952,41 @@ def test_module_entry_byte_determinism(src_env):
     gen1 = _module_run(src_env, ["gen", "gnp", "30", "0.4", "--seed", "9"])
     gen2 = _module_run(src_env, ["gen", "gnp", "30", "0.4", "--seed", "9"])
     assert gen1.stdout == gen2.stdout and gen1.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_bytes",
+    [
+        (["gen", "cycle", "6"], b""),
+        (["find"], to_edge_list(kdd(4, 2)).encode()),
+    ],
+    ids=["gen", "find"],
+)
+def test_closed_stdout_exits_one_without_a_traceback(src_env, argv, stdin_bytes):
+    # the reading end is closed before the command starts, so its first
+    # write to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "balsub", *argv],
+            input=stdin_bytes,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=src_env,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, b"")
+
+
+def test_closed_stdout_without_a_descriptor_exits_one(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["gen", "cycle", "6"]) == 1
 
 
 def test_module_entry_requires_subcommand(src_env):

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from balsub.expander import (
     ExpansionProfile,
@@ -391,26 +391,68 @@ def test_kst_transform_validates_arguments():
         kst_free_profile_transform(ExpansionProfile(1.0, 1.0), 10.0, 2, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 10), st.integers(0, 10**6))
-def test_exhaustive_matches_bruteforce_reimplementation(n, seed):
-    g = gnp(n, 0.45, seed)
-    p = ExpansionProfile(1.0, 2.0)
-    verdict = verify_expander(g, p)
+def _exhaustive_oracle(g, profile):
+    """Every candidate set from the definition, size by size in
+    lexicographic order, against the real need."""
+    checked = 0
+    for size in range(max(1, math.ceil(profile.k / 2)), g.n // 2 + 1):
+        need = epsilon_of(size, profile) * size
+        for xs in combinations(range(g.n), size):
+            checked += 1
+            if len(external_neighborhood(g, xs)) < need:
+                return "refuted", checked, frozenset(xs)
+    return "certified", checked, None
 
-    # independent re-implementation straight from the definition
-    violations = [
-        frozenset(xs)
-        for size in range(math.ceil(p.k / 2), g.n // 2 + 1)
-        for xs in combinations(range(g.n), size)
-        if len(external_neighborhood(g, xs)) < epsilon_of(size, p) * size
-    ]
-    if violations:
-        assert verdict.status == "refuted"
-        x = len(verdict.witness)
-        assert (
-            len(external_neighborhood(g, verdict.witness))
-            < epsilon_of(x, p) * x
-        )
-    else:
-        assert verdict.status == "certified"
+
+_small_hosts = st.one_of(
+    st.builds(gnp, st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6)),
+    st.builds(
+        lambda n, p, seed: bipartite_half(gnp(n, p, seed))[0],
+        st.integers(2, 12),
+        st.floats(0.3, 1.0),
+        st.integers(0, 10**6),
+    ),
+    st.builds(complete_bipartite, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(
+        _disjoint_union,
+        st.builds(complete_graph, st.integers(1, 6)),
+        st.builds(complete_bipartite, st.integers(1, 3), st.integers(1, 3)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_hosts, st.floats(0.01, 1.2), st.floats(0.01, 30.0))
+# epsilon1 up to 30 puts some sizes' integer thresholds at 2 or more; on
+# K_{4,4} at k = 2 the need at |X| = 1 is about 1.2 when epsilon1 = 5
+# (certified) and about 9.9 when epsilon1 = 40 (refuted)
+@example(complete_bipartite(4, 4), 0.25, 5.0)
+@example(complete_bipartite(4, 4), 0.25, 40.0)
+def test_exhaustive_matches_bruteforce_reimplementation(g, k_frac, epsilon1):
+    p = ExpansionProfile(epsilon1, k_frac * g.n)
+    v = verify_expander(g, p)
+    assert (v.status, v.sets_checked, v.witness) == _exhaustive_oracle(g, p)
+
+
+def test_exhaustive_counts_at_benchmark_scale_are_pinned():
+    # n = 20, past the reach of the oracle test: the order and the count
+    p = ExpansionProfile(1.0, 0.27)
+    v = verify_expander(complete_bipartite(10, 10), p)
+    assert (v.status, v.sets_checked, v.witness) == ("certified", 616665, None)
+    # every set of sizes 1..9 passes, and {0, ..., 9}, the first set of
+    # size 10, is one whole K10
+    v = verify_expander(two_cliques(10), p)
+    checked = sum(math.comb(20, s) for s in range(1, 10)) + 1
+    assert checked == 431910
+    assert (v.status, v.sets_checked, v.witness) == (
+        "refuted", checked, frozenset(range(10))
+    )
+
+
+def test_a_need_past_float_range_refutes_the_first_set():
+    # eps(5) * 5 overflows to inf; |N(X)| < inf holds for every set
+    p = ExpansionProfile(1.7e308, 10.0)
+    assert epsilon_of(5, p) * 5 == math.inf
+    for mode in ("exhaustive", "sampled"):
+        v = verify_expander(complete_graph(10), p, mode=mode)
+        assert (v.status, v.sets_checked) == ("refuted", 1)
