@@ -36,6 +36,7 @@ from .gadgets import (
 )
 from .connect import PathWitness
 from .generators import (
+    MAX_VERTICES,
     complete_graph,
     cycle_graph,
     from_edge_list,
@@ -204,22 +205,43 @@ def _emit_failure(failure: BuildFailure, flags: dict) -> int:
 # -- commands ------------------------------------------------------------------
 
 
-# family -> (generator, its parameters in order with their types); a "seed"
-# parameter is the family's required --seed flag, the others are positionals
-_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[tuple[str, type], ...]]] = {
-    "gnp": (gnp, (("n", int), ("p", float), ("seed", int))),
-    "kdd": (kdd, (("d", int), ("copies", int))),
-    "hypercube": (hypercube, (("dim", int),)),
-    "cycle": (cycle_graph, (("n", int),)),
-    "incidence_plane": (incidence_plane, (("q", int),)),
-    "complete": (complete_graph, (("n", int),)),
+# family -> (generator, its parameters in order with their types, its vertex
+# count from those parameters, worked out without building anything); a
+# "seed" parameter is the family's required --seed flag, the others are
+# positionals
+_FAMILIES: dict[
+    str,
+    tuple[Callable[..., Graph], tuple[tuple[str, type], ...], Callable[..., int]],
+] = {
+    "gnp": (gnp, (("n", int), ("p", float), ("seed", int)), lambda n, p, seed: n),
+    # a negative parameter counts as 0, and its generator refuses it
+    "kdd": (kdd, (("d", int), ("copies", int)), lambda d, c: 2 * max(d, 0) * max(c, 0)),
+    # 2**dim, with dim capped just past the limit so that no huge int is made
+    "hypercube": (
+        hypercube,
+        (("dim", int),),
+        lambda dim: 1 << min(max(dim, 0), MAX_VERTICES.bit_length()),
+    ),
+    "cycle": (cycle_graph, (("n", int),), lambda n: n),
+    "incidence_plane": (
+        incidence_plane,
+        (("q", int),),
+        lambda q: 2 * (q * q + q + 1) if q > 0 else 0,
+    ),
+    "complete": (complete_graph, (("n", int),), lambda n: n),
 }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    make, params = _FAMILIES[args.family]
-    g = make(*(getattr(args, name) for name, _kind in params))
-    sys.stdout.write(to_edge_list(g))
+    make, params, order = _FAMILIES[args.family]
+    values = [getattr(args, name) for name, _kind in params]
+    # a graph past the limit would be text that every reader refuses
+    if order(*values) > MAX_VERTICES:
+        raise TooLargeError(
+            f"{args.family} {' '.join(map(str, values))} has more than "
+            f"{MAX_VERTICES} vertices"
+        )
+    sys.stdout.write(to_edge_list(make(*values)))
     return 0
 
 
@@ -409,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     families = p_gen.add_subparsers(
         dest="family", metavar="family", help=" | ".join(_FAMILIES), required=True
     )
-    for family, (_make, params) in _FAMILIES.items():
+    for family, (_make, params, _order) in _FAMILIES.items():
         aliases = [family.replace("_", "-")] if "_" in family else []
         p_family = families.add_parser(family, aliases=aliases)
         for name, kind in params:

@@ -170,7 +170,8 @@ def _branch_pool(g: Graph, comp: frozenset[int], k: int) -> tuple[frozenset[int]
     degree is at least k-1.  A path of length 2 joins vertices of one
     colour, so in a bipartite component the branch vertices share a side
     and the C(k,2) middles lie on the other: a side can hold the branch
-    only with k vertices of degree >= k-1 and C(k,2) vertices opposite.
+    only with k vertices of degree >= k-1 and C(k,2) vertices opposite,
+    and only when the parity bound (`_odd_plane_side`) does not refute it.
     """
     strong = frozenset(v for v in comp if g.degree(v) >= k - 1)
     dist = g.bfs_distances([min(comp)])
@@ -194,9 +195,45 @@ def _branch_pool(g: Graph, comp: frozenset[int], k: int) -> tuple[frozenset[int]
                 f"{len(opposite)} vertices opposite the branch side, "
                 f"C({k},2)={comb(k, 2)} middles needed"
             )
+        elif opposite is not None and _odd_plane_side(g, hubs, k):
+            reasons.append(
+                f"{len(hubs)} vertices of degree {k - 1} pairwise sharing one "
+                f"neighbour, and an odd k={k} cannot pair off"
+            )
         else:
             pool |= hubs
     return frozenset(pool), f"{label}: " + "; ".join(dict.fromkeys(reasons))
+
+
+def _odd_plane_side(g: Graph, hubs: frozenset[int], k: int) -> bool:
+    """Whether parity refutes a TK_k^(2) with its branch in `hubs`: k is
+    odd, there are more than k hubs, each of degree exactly k-1, and every
+    two of them share exactly one neighbour.  The incidence graph of a
+    projective plane of odd order q is such a host at k = q + 2.
+
+    Proof.  A branch vertex b of degree k-1 starts its k-1 paths through
+    distinct neighbours, so every neighbour w of b is the middle of one
+    pair {b, b'}, and so adjacent to b'.  No third branch vertex b'' is
+    adjacent to w: w would be the one common neighbour of b and b'', and
+    that pair needs a middle other than w.  Now take a hub u off the
+    branch, and for each branch vertex b let w_b be the one common
+    neighbour of u and b.  w_b is adjacent to exactly b and one b' on the
+    branch, and u and b' share it too, so w_b = w_b'.  The map b -> w_b
+    thus pairs off the k branch vertices, and k is even.
+
+    The test costs about |hubs|^2 / 2 mask ANDs, and stops at the first
+    pair that shares no neighbour or two.
+    """
+    if k % 2 == 0 or len(hubs) <= k or any(g.degree(v) != k - 1 for v in hubs):
+        return False
+    masks = g.neighbor_masks()
+    seen: list[int] = []
+    for v in hubs:
+        mask = masks[v]
+        if any((mask & other).bit_count() != 1 for other in seen):
+            return False
+        seen.append(mask)
+    return True
 
 
 def _c4_free(g: Graph, comp: frozenset[int]) -> bool:
@@ -222,7 +259,7 @@ def dense_tk2(
     Backtracking over branch sets in (degree desc, id asc) order; middles
     are assigned by bipartite matching rather than greedily.  On bipartite
     hosts a dependent-random-choice pass reorders candidates toward a side
-    whose subsets are rich in common neighbors.  Three prunes cut only
+    whose subsets are rich in common neighbors.  Four prunes cut only
     subtrees that hold no TK_k^(2), so the first embedding in that order is
     the one returned and, within the node budget, the answer is exact:
     a certificate, or a "no_embedding" refutation that says no TK_k^(2)
@@ -231,9 +268,18 @@ def dense_tk2(
     - Side bound: branch vertices have degree >= k-1, and in a bipartite
       component they share a side with k such vertices and C(k,2)
       vertices opposite; a component without one is refuted unsearched.
+    - Parity bound: an odd k is refuted unsearched on a bipartite side of
+      more than k candidates, each of degree exactly k-1, every two
+      sharing exactly one neighbour, as on the incidence graph of a
+      projective plane of odd order q at k = q + 2.  A branch vertex then
+      uses each neighbour as the middle of one pair, and a candidate off
+      the branch pairs the branch vertices off by the neighbour it shares
+      with each; the proof is in `_odd_plane_side`.
     - Candidate mask: a node keeps the later candidates that share a
       neighbour with every branch vertex so far, and a candidate whose
-      mask cannot complete k branch vertices is skipped.
+      mask cannot complete k branch vertices is skipped.  Each branch
+      vertex's neighbours off the branch are taken once per node, and a
+      candidate is dropped at its first pair with no common neighbour.
     - Forced middles: when every pair of vertices in the component has at
       most one common neighbour, each pair's middle is forced, and a
       vertex adjacent to a used middle is dropped from the mask.
@@ -279,6 +325,13 @@ def dense_tk2(
                     for pair, m in middles.items()
                 }
                 return SubdivisionCertificate.from_paths(2, branch, paths)
+            # each branch vertex's neighbours off the branch, once per node
+            offs = [masks[u] & ~bmask for u in branch]
+            off_union = 0
+            for off in offs:
+                off_union |= off
+            # a branch one vertex longer needs this many distinct middles
+            middles_needed = comb(len(branch) + 1, 2)
             # candidates in position order, while enough remain to reach k
             while len(branch) + cand.bit_count() >= k:
                 low = cand & -cand
@@ -286,28 +339,27 @@ def dense_tk2(
                 idx = low.bit_length() - 1
                 v = order[idx]
                 # every pair needs a common neighbour off the branch
-                commons = [masks[u] & masks[v] & ~bmask for u in branch]
-                if not all(commons):
+                mask_v = masks[v]
+                if not all(map(mask_v.__and__, offs)):
                     continue
                 # later candidates must share a neighbour with v too
                 grown = cand & share[idx]
-                grown_union = union
-                for common in commons:
-                    grown_union |= common
-                    if c4_free:
-                        # the pair's one common neighbour is its middle,
-                        # so no later branch vertex may be adjacent to it
-                        grown &= ~near[common.bit_length() - 1]
+                if c4_free:
+                    # each pair's one common neighbour is its middle, so
+                    # no later branch vertex may be adjacent to it
+                    for off in offs:
+                        grown &= ~near[(off & mask_v).bit_length() - 1]
                 if len(branch) + 1 + grown.bit_count() < k:
                     continue
-                branch.append(v)
+                # the union of the common neighbours of every pair so far
+                grown_union = union | (mask_v & off_union)
                 grown_mask = bmask | (1 << v)
-                # the pairs need C(j, 2) distinct middles between them
-                if (grown_union & ~grown_mask).bit_count() >= comb(len(branch), 2):
+                if (grown_union & ~grown_mask).bit_count() >= middles_needed:
+                    branch.append(v)
                     found = extend(branch, grown_mask, grown_union, grown)
                     if found is not None:
                         return found
-                branch.pop()
+                    branch.pop()
             return None
 
         return extend([], 0, 0, (1 << len(order)) - 1)

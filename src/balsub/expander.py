@@ -96,12 +96,14 @@ def verify_expander(
     The exhaustive check walks every candidate set in lexicographic order,
     size by size: the sets that share all but their last vertex share one
     OR of their masks, so each set costs one OR, one mask and one popcount,
-    and the witness is the first failing set.  The sampled check tries
-    whole components, low-degree prefixes, and sets grown at random from
-    `seed`, and can only refute or report "sampled_ok".  On a connected
-    host it first tries a degree/connectivity lower bound on |N(X)|; when
-    it meets the threshold at every size, no set can fail and none is
-    drawn, and sets_checked is the count the loop would have checked.
+    and the witness is the first failing set.  The sampled check can only
+    refute or report "sampled_ok".  On a connected host it first tries a
+    degree/connectivity lower bound on |N(X)|; when it meets the threshold
+    at every size, no set can fail and none is drawn, and sets_checked is
+    the count the loop would have checked.  Otherwise it checks the fixed
+    sets, whole components and then low-degree prefixes, before it draws
+    any set; then it grows sets at random from `seed` and checks each one
+    as soon as it is grown.  The first failing set is the witness.
     """
     if g.n == 0:
         raise EmptyGraphError("cannot verify expansion of the empty graph")
@@ -146,11 +148,27 @@ def verify_expander(
         # random set to its drawn size, and none of them could fail
         prefixes = len({lo, (lo + hi) // 2, hi})
         return ExpanderVerdict("sampled_ok", prefixes + max(trials, 0))
-    rng = random.Random(seed)
-    candidates = [comp for comp in comps if lo <= len(comp) <= hi]
+
+    def refutes(xs) -> bool:
+        xmask = 0
+        nmask = 0
+        for v in xs:
+            xmask |= 1 << v
+            nmask |= masks[v]
+        return (nmask & ~xmask).bit_count() < thresholds[len(xs)]
+
+    # the fixed sets first: whole components, then low-degree prefixes
+    checked = 0
     by_degree = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
-    for size in {lo, (lo + hi) // 2, hi}:
-        candidates.append(frozenset(by_degree[:size]))
+    fixed = [comp for comp in comps if lo <= len(comp) <= hi]
+    fixed += (frozenset(by_degree[:size]) for size in {lo, (lo + hi) // 2, hi})
+    for xs in fixed:
+        checked += 1
+        if refutes(xs):
+            return ExpanderVerdict("refuted", checked, xs)
+    # then each random set is checked as soon as it is grown
+    adj = g._adj
+    rng = random.Random(seed)
     for _ in range(trials):
         size = rng.randint(lo, hi)
         start = rng.randrange(g.n)
@@ -158,7 +176,7 @@ def verify_expander(
         frontier = [start]
         while len(grown) < size and frontier:
             u = frontier[rng.randrange(len(frontier))]
-            fresh = [w for w in g.neighbors(u) if w not in grown]
+            fresh = [w for w in adj[u] if w not in grown]
             if not fresh:
                 frontier.remove(u)
                 continue
@@ -166,17 +184,9 @@ def verify_expander(
             grown.add(w)
             frontier.append(w)
         if lo <= len(grown) <= hi:
-            candidates.append(frozenset(grown))
-    checked = 0
-    for xs in candidates:
-        checked += 1
-        xmask = 0
-        nmask = 0
-        for v in xs:
-            xmask |= 1 << v
-            nmask |= masks[v]
-        if (nmask & ~xmask).bit_count() < thresholds[len(xs)]:
-            return ExpanderVerdict("refuted", checked, frozenset(xs))
+            checked += 1
+            if refutes(grown):
+                return ExpanderVerdict("refuted", checked, frozenset(grown))
     return ExpanderVerdict("sampled_ok", checked)
 
 

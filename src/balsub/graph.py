@@ -15,7 +15,7 @@ those `Graph.from_ends` has checked in bulk, are built by the unchecked
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,22 +76,36 @@ class Graph:
         That is: each ``0 <= us[i] < vs[i] < n``, and the pairs strictly
         increasing.  C-level passes over the lists check this, so no edge is
         checked on its own.  Each vertex's higher neighbours are then one
-        slice of `vs`, and only its lower ones take a Python loop.  Any other
-        lists go to the constructor, which sorts them or names the first bad
-        edge.
+        slice of `vs`, and only its lower ones take a Python loop.  A vertex
+        without edges takes no Python step and no object of its own: all of
+        them share the empty tuple.  Any other lists go to the constructor,
+        which sorts them or names the first bad edge.
         """
         if n >= 0 and (not us or us[0] >= 0 and us[-1] < n and sorted(us) == us):
-            bounds = [bisect_left(us, u) for u in range(n + 1)]
+            # each distinct u, and where its run of edges starts
+            heads: list[int] = []
+            bounds: list[int] = []
+            i = 0
+            while i < len(us):
+                heads.append(us[i])
+                bounds.append(i)
+                i = bisect_right(us, us[i], i)
+            bounds.append(len(us))
             higher = [vs[a:b] for a, b in pairwise(bounds)]
             # a run above u must start past u, end below n and increase
             if all(
-                not run or u < run[0] and run[-1] < n and all(map(lt, run, islice(run, 1, None)))
-                for u, run in enumerate(higher)
+                u < run[0] and run[-1] < n and all(map(lt, run, islice(run, 1, None)))
+                for u, run in zip(heads, higher)
             ):
-                lower: list[list[int]] = [[] for _ in range(n)]
+                adj: list = [()] * n
+                for v in set(vs):
+                    adj[v] = []
                 for u, v in zip(us, vs):
-                    lower[v].append(u)
-                return cls._of(tuple(tuple(a + b) for a, b in zip(lower, higher)))
+                    adj[v].append(u)
+                for u, run in zip(heads, higher):
+                    run[:0] = adj[u]
+                    adj[u] = run
+                return cls._of(tuple(map(tuple, adj)))
         return cls(n, zip(us, vs))
 
     # -- basic accessors ---------------------------------------------------

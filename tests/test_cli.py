@@ -88,6 +88,56 @@ def test_gen_usage_errors(capsys):
         assert flag in err.splitlines()[-1], argv
 
 
+class _Built(Exception):
+    """Raised by a stand-in generator: the family got past the limit."""
+
+
+def _stand_in(*_values):
+    raise _Built
+
+
+def _stand_in_families(monkeypatch):
+    """Replace every generator of `gen` by `_stand_in`, so that no test
+    below builds a graph, whatever the vertex limit lets through."""
+    import balsub.cli as cli
+
+    monkeypatch.setattr(
+        cli,
+        "_FAMILIES",
+        {name: (_stand_in, *rest) for name, (_make, *rest) in cli._FAMILIES.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["cycle", "1048577"], "cycle 1048577"),
+        (["complete", "1048577"], "complete 1048577"),
+        (["gnp", "1048577", "0.5", "--seed", "1"], "gnp 1048577 0.5 1"),
+        (["kdd", "262145", "2"], "kdd 262145 2"),  # 2 * 262145 * 2 vertices
+        (["hypercube", "21"], "hypercube 21"),
+        (["hypercube", "1000000000"], "hypercube 1000000000"),
+        (["incidence_plane", "724"], "incidence_plane 724"),  # 2(q^2 + q + 1)
+    ],
+)
+def test_gen_refuses_a_family_past_the_vertex_limit(capsys, monkeypatch, argv, shown):
+    # every reader refuses a header past MAX_VERTICES, so gen refuses to
+    # write one, before its generator runs
+    _stand_in_families(monkeypatch)
+    code, out, err = run(capsys, ["gen", *argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {shown} has more than 1048576 vertices\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["cycle", "1048576"], ["hypercube", "20"], ["kdd", "262144", "2"]]
+)
+def test_gen_builds_a_family_at_the_vertex_limit(capsys, monkeypatch, argv):
+    _stand_in_families(monkeypatch)
+    with pytest.raises(_Built):
+        run(capsys, ["gen", *argv])
+
+
 def test_gen_gnp_deterministic(capsys):
     a = run(capsys, ["gen", "gnp", "20", "0.3", "--seed", "5"])
     b = run(capsys, ["gen", "gnp", "20", "0.3", "--seed", "5"])

@@ -14,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsub.certify import SubdivisionCertificate, best_k_at_ell, verify_subdivision
+from balsub import drc
 from balsub.drc import (
     DrcParams,
     _drc_reorder,
     _middle_matching,
+    _odd_plane_side,
     dense_tk2,
     drc_feasible,
     drc_select,
@@ -437,6 +439,92 @@ def test_dense_sweep_hosts_settle_within_budget():
         cert = dense_tk2(g, ks[-1], seed=1, node_budget=30_000)
         assert isinstance(cert, SubdivisionCertificate), g
         assert verify_subdivision(g, cert).passed
+
+
+def _search_only(monkeypatch):
+    """Turn the parity bound off, so that only the search can refute."""
+    monkeypatch.setattr(drc, "_odd_plane_side", lambda g, hubs, k: False)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_parity_refutes_odd_k_on_planes_of_odd_order(q):
+    # k = q + 2 is odd, every vertex has degree q + 1 = k - 1, and any two
+    # points (or lines) share exactly one line (or point)
+    n_side, k = q * q + q + 1, q + 2
+    out = dense_tk2(incidence_plane(q), k, node_budget=0)
+    assert isinstance(out, BuildFailure) and out.reason == "no_embedding"
+    assert out.detail == (
+        f"bipartite component: {n_side} vertices of degree {k - 1} pairwise "
+        f"sharing one neighbour, and an odd k={k} cannot pair off"
+    )
+
+
+@pytest.mark.parametrize("q, k, nodes", [(3, 5, 229), (5, 7, 8141)])
+def test_the_search_alone_also_refutes_what_parity_refutes(monkeypatch, q, k, nodes):
+    _search_only(monkeypatch)
+    g = incidence_plane(q)
+    out = dense_tk2(g, k, node_budget=nodes)
+    assert isinstance(out, BuildFailure) and out.reason == "no_embedding"
+    assert out.detail == f"no TK_{k} with all edges subdivided once"
+    spent = dense_tk2(g, k, node_budget=nodes - 1)
+    assert isinstance(spent, BuildFailure) and spent.reason == "budget_exhausted"
+
+
+def _circulant_bipartite(n, shifts):
+    """Point i joined to line n + (i + s) % n for each s of `shifts`: a
+    regular bipartite host, a projective plane only for a difference set."""
+    return Graph(2 * n, [(i, n + (i + s) % n) for i in range(n) for s in shifts])
+
+
+@pytest.mark.parametrize(
+    "g, k, found",
+    [
+        (incidence_plane(2), 4, True),  # k even
+        (hypercube(8), 9, False),  # two vertices share 0 or 2 neighbours
+        (cycle_graph(12), 3, False),  # share 0 or 1
+        (_circulant_bipartite(13, (0, 1, 2, 3)), 5, False),  # 4-regular, share 0 to 3
+    ],
+    ids=["plane2-k4", "hypercube8-k9", "cycle12-k3", "circulant13-k5"],
+)
+def test_parity_declines_where_it_does_not_hold(monkeypatch, g, k, found):
+    coloring = g.two_coloring()
+    sides = [frozenset(v for v in g.vertices() if coloring[v] == c) for c in (0, 1)]
+    assert not any(_odd_plane_side(g, side, k) for side in sides)
+    with_bound = dense_tk2(g, k, seed=1)
+    assert isinstance(with_bound, SubdivisionCertificate) == found
+    _search_only(monkeypatch)
+    assert dense_tk2(g, k, seed=1) == with_bound
+
+
+def test_the_circulant_host_on_a_difference_set_is_a_plane():
+    # {0, 1, 3, 9} is a perfect difference set mod 13: PG(2, 3) again
+    assert _odd_plane_side(_circulant_bipartite(13, (0, 1, 3, 9)), frozenset(range(13)), 5)
+
+
+# The least node budget at which dense_tk2 completes on each host, measured
+# before the parity bound and the once-per-node masks landed: a prune that
+# keeps the node order keeps these counts, so a change to either shows here.
+_NODES_TO_SETTLE = [
+    (hypercube(6), 7, 109, "no_embedding"),
+    (hypercube(7), 8, 287, "no_embedding"),
+    (gnp(40, 0.25, 2), 8, 72, "found"),
+    (incidence_plane(2), 4, 5, "found"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, k, nodes, outcome",
+    _NODES_TO_SETTLE,
+    ids=["hypercube6-k7", "hypercube7-k8", "gnp40-k8", "plane2-k4"],
+)
+def test_the_node_count_of_a_search_is_pinned(g, k, nodes, outcome):
+    out = dense_tk2(g, k, node_budget=nodes)
+    if outcome == "found":
+        assert isinstance(out, SubdivisionCertificate)
+    else:
+        assert isinstance(out, BuildFailure) and out.reason == outcome
+    spent = dense_tk2(g, k, node_budget=nodes - 1)
+    assert isinstance(spent, BuildFailure) and spent.reason == "budget_exhausted"
 
 
 # -- degree bound ----------------------------------------------------------------

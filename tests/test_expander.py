@@ -152,8 +152,9 @@ def test_sampled_mode_on_an_empty_size_range_is_vacuous():
 
 
 def _sampled_oracle(g, profile, trials, seed):
-    """The sampled check without the degree bound: components, three
-    degree prefixes and `trials` randomly grown connected sets."""
+    """The sampled check without the degree bound, as an eager loop: it
+    lists the components, three degree prefixes and `trials` randomly
+    grown connected sets, and only then checks them in that order."""
     lo, hi = max(1, math.ceil(profile.k / 2)), g.n // 2
     rng = random.Random(seed)
     candidates = [comp for comp in g.components() if lo <= len(comp) <= hi]
@@ -221,6 +222,42 @@ def test_sampled_verdict_matches_the_sampling_oracle(g, k_frac, epsilon1, trials
     assume(max(1, math.ceil(k / 2)) <= g.n // 2)
     v = verify_expander(g, p, trials=trials, seed=seed, cap=0)
     assert (v.status, v.sets_checked, v.witness) == _sampled_oracle(g, p, trials, seed)
+
+
+def _hosts_past_the_cap(count, seed):
+    """`count` random (host, profile, seed) triples with 23 to 60 vertices,
+    so the sampled check runs at the default cap: sparse and dense G(n, p),
+    bipartite halves, and two G(n, p) side by side."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(23, 60)
+        p = rng.uniform(0.03, 0.6)
+        kind = rng.randrange(3)
+        if kind == 0:
+            g = gnp(n, p, rng.randrange(10**6))
+        elif kind == 1:
+            g = bipartite_half(gnp(n, p, rng.randrange(10**6)))[0]
+        else:
+            a = rng.randint(1, n - 1)
+            g = _disjoint_union(gnp(a, p, rng.randrange(10**6)), gnp(n - a, p, rng.randrange(10**6)))
+        profile = ExpansionProfile(rng.uniform(0.01, 10.0), rng.uniform(0.5, n - 1))
+        yield g, profile, rng.randrange(1000)
+
+
+def test_sampled_check_matches_the_eager_oracle_past_the_cap():
+    # checking the fixed sets first, and each random set as it is grown,
+    # must keep the eager loop's verdict, witness and count
+    seen = set()
+    for g, profile, seed in _hosts_past_the_cap(300, 7):
+        v = verify_expander(g, profile, seed=seed)
+        assert (v.status, v.sets_checked, v.witness) == _sampled_oracle(g, profile, 200, seed)
+        lo, hi = max(1, math.ceil(profile.k / 2)), g.n // 2
+        fixed = sum(lo <= len(c) <= hi for c in g.components()) + len({lo, (lo + hi) // 2, hi})
+        if v.status == "refuted":
+            seen.add("fixed" if v.sets_checked <= fixed else "random")
+        else:
+            seen.add(v.status)
+    assert seen == {"fixed", "random", "sampled_ok"}
 
 
 def _bridged_pair(block: Graph) -> Graph:

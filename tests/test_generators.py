@@ -261,6 +261,7 @@ def test_bulk_reader_builds_the_adjacency_of_the_constructor():
         ([0], [3]),  # outside 0..n-1
         ([-1], [0]),
         ([], []),
+        ([0], [2]),  # vertex 1 has no edge
     ],
 )
 def test_from_ends_is_the_constructor(us, vs):
@@ -322,3 +323,20 @@ def test_a_vertex_count_within_the_limit_is_read():
     assert from_edge_list("n +5\n0 1\n") == Graph(5, [(0, 1)])
     with pytest.raises(InvalidArgumentError, match="bad vertex count"):
         from_edge_list("n +" + "9" * 5000 + "\n")
+
+
+def test_vertices_without_edges_cost_no_object_of_their_own():
+    # a ten-byte document naming MAX_VERTICES vertices, none with an edge:
+    # they share the empty tuple, so the peak is the adjacency's pointers,
+    # not the 151 MB of a slice and a list per vertex
+    text = f"n {generators.MAX_VERTICES}\n"
+    graphs = []
+    assert _peak_bytes(lambda: graphs.append(from_edge_list(text))) < 25 * 10**6
+    g = graphs[0]
+    assert g.n == generators.MAX_VERTICES and g.edge_count() == 0
+    assert {g.neighbors(v) for v in (0, 1, g.n - 1)} == {()}
+    # smaller documents with such vertices, below, between and above edges
+    for text in ("n 5000\n", "n 5000\n0 1\n", "n 5000\n0 1\n0 3\n1 3\n"):
+        g = generators._from_canonical_text(text)
+        assert g is not None and g == _line_loop(text)
+        assert to_edge_list(g) == text
