@@ -24,6 +24,7 @@ from .outcomes import (
     BuildFailure,
     Clause,
     InvalidArgumentError,
+    InvalidVertexError,
     SearchBudgetExceeded,
     ValidationReport,
 )
@@ -144,11 +145,14 @@ def _greedy_hub_at(
 
 def build_hub(
     g: Graph,
-    avoid: Iterable[int],
+    avoid: int | Iterable[int],
     h1: int,
     h2: int,
 ) -> Hub | BuildFailure:
     """Greedy hub construction inside the densest core of G - avoid.
+
+    `avoid` is a vertex mask or an iterable of vertex ids; the mask form
+    spares a caller that keeps one (`_place_hubs`) a walk over every id.
 
     Tries min-degree cores from the largest feasible threshold downward;
     within a core, scans centers in id order and repairs the first layer
@@ -167,10 +171,11 @@ def build_hub(
     """
     if h1 < 1 or h2 < 1:
         raise InvalidArgumentError("need h1 >= 1 and h2 >= 1")
-    alive = (1 << g.n) - 1
-    for v in g.check_subset(avoid):
-        alive ^= 1 << v
-    levels = core_levels(g, alive)
+    if not isinstance(avoid, int):
+        avoid = sum(1 << v for v in g.check_subset(avoid))
+    if avoid < 0 or avoid >> g.n:
+        raise InvalidVertexError(f"vertex mask {avoid:#x} outside 0..{g.n - 1}")
+    levels = core_levels(g, ((1 << g.n) - 1) & ~avoid)
     if not levels:
         return BuildFailure("insufficient_degree", "nothing left outside avoid")
     smallest = 1 + h1 + h1 * h2
@@ -381,28 +386,31 @@ def build_unit(
     avoiding everything the spokes used.
 
     The candidate hubs start at double size and shrink toward the exact
-    target when the host is too small for slack.
+    target when the host is too small for slack.  Hubs are placed on one
+    vertex mask of what is taken.  A margin whose core hub and h0
+    satellites cannot fit into the vertices outside `avoid` is skipped
+    without placing a hub: exact, since every hub of a shape takes exactly
+    1 + h1 + h1*h2 vertices.  Its shortfall is the failure's detail only
+    when no later margin or core sets one, so only then is it replayed.
     """
     if min(h0, h1, h2, h3) < 1:
         raise InvalidArgumentError("unit parameters must all be >= 1")
     avoid_set = g.check_subset(avoid)
+    avoid_mask = sum(1 << v for v in avoid_set)
+    free = g.n - len(avoid_set)
     failure = BuildFailure("hub_pool_exhausted", "no candidate hubs fit")
+    # each margin the count skipped, with the failure standing then
+    skipped: list[tuple[BuildFailure, float, int, int, int]] = []
     for margin in (2.0, 1.5, 1.0):
-        mh0 = math.ceil(margin * h0)
-        mh1 = math.ceil(margin * h1)
-        mh2 = math.ceil(margin * h2)
-        taken = set(avoid_set)
-        cores = _place_hubs(g, taken, 2, mh0, mh2)
+        mh0, mh1, mh2 = (math.ceil(margin * h) for h in (h0, h1, h2))
+        if (free - (1 + mh0 + mh0 * mh2)) // (1 + mh1 + mh1 * mh2) < h0:
+            skipped.append((failure, margin, mh0, mh1, mh2))
+            continue
+        cores, satellites = _margin_hubs(g, avoid_mask, h0, mh0, mh1, mh2)
         if not cores:
             continue
-        satellites = _place_hubs(g, taken, h0 + 1, mh1, mh2)
         if len(satellites) < h0:
-            failure = BuildFailure(
-                failure.reason,
-                f"margin {margin}: only {len(satellites)} satellite hubs of"
-                f" the {h0} required",
-                failure.partial,
-            )
+            failure = _shortfall(failure, margin, len(satellites), h0)
             continue
         for core_hub in cores:
             result = _attach(
@@ -415,20 +423,51 @@ def build_unit(
 
     # Lean pass for hosts too small to hold an oversized hub around the
     # core: the core is a bare vertex and satellites are rebuilt per core.
-    if _lean_pass_hopeless(g, avoid_set, h0, h1, h2):
-        return failure
-    candidates = [v for v in g.vertices() if v not in avoid_set][:40]
-    for w in candidates:
-        satellites = _place_hubs(g, set(avoid_set) | {w}, h0 + 1, h1, h2)
-        if len(satellites) < h0:
-            continue
-        result = _attach(
-            g, w, frozenset({w}), satellites, satellites, avoid_set, h0, h1, h2, h3
-        )
-        if isinstance(result, Unit):
-            return result
-        failure = result
+    if not _lean_pass_hopeless(g, avoid_set, h0, h1, h2):
+        candidates = [v for v in g.vertices() if v not in avoid_set][:40]
+        for w in candidates:
+            satellites, _ = _place_hubs(g, avoid_mask | 1 << w, h0 + 1, h1, h2)
+            if len(satellites) < h0:
+                continue
+            result = _attach(
+                g, w, frozenset({w}), satellites, satellites, avoid_set,
+                h0, h1, h2, h3,
+            )
+            if isinstance(result, Unit):
+                return result
+            failure = result
+    for standing, margin, mh0, mh1, mh2 in reversed(skipped):
+        if standing is not failure:
+            break  # a later margin or core set the failure
+        cores, satellites = _margin_hubs(g, avoid_mask, h0, mh0, mh1, mh2)
+        if cores:
+            return _shortfall(failure, margin, len(satellites), h0)
     return failure
+
+
+def _margin_hubs(
+    g: Graph, avoid: int, h0: int, mh0: int, mh1: int, mh2: int
+) -> tuple[list[Hub], list[Hub]]:
+    """One margin's candidate hubs outside the vertex mask `avoid`: up to
+    two (mh0, mh2)-hubs around prospective cores, then, when one fits, up
+    to h0 + 1 (mh1, mh2)-satellites."""
+    cores, taken = _place_hubs(g, avoid, 2, mh0, mh2)
+    if not cores:
+        return cores, []
+    satellites, _ = _place_hubs(g, taken, h0 + 1, mh1, mh2)
+    return cores, satellites
+
+
+def _shortfall(
+    failure: BuildFailure, margin: float, placed: int, h0: int
+) -> BuildFailure:
+    """`failure` with its detail naming a margin that placed too few
+    satellites."""
+    return BuildFailure(
+        failure.reason,
+        f"margin {margin}: only {placed} satellite hubs of the {h0} required",
+        failure.partial,
+    )
 
 
 def _lean_pass_hopeless(
@@ -454,18 +493,18 @@ def _lean_pass_hopeless(
 
 
 def _place_hubs(
-    g: Graph, taken: set[int], count: int, h1: int, h2: int
-) -> list[Hub]:
+    g: Graph, taken: int, count: int, h1: int, h2: int
+) -> tuple[list[Hub], int]:
     """Up to `count` disjoint (h1, h2)-hubs built one after another outside
-    `taken`, which grows by every hub placed."""
+    the vertex mask `taken`, and that mask grown by every hub placed."""
     hubs: list[Hub] = []
     while len(hubs) < count:
         cand = build_hub(g, taken, h1, h2)
         if isinstance(cand, BuildFailure):
             break
         hubs.append(cand)
-        taken |= cand.all_vertices()
-    return hubs
+        taken |= sum(1 << v for v in cand.all_vertices())
+    return hubs, taken
 
 
 def _attach(

@@ -180,7 +180,8 @@ def from_edge_list(text: str) -> Graph:
     if len(head) != 2 or head[0] != "n":
         raise InvalidArgumentError(f"bad header line: {lines[0]!r}")
     n = _vertex_count(head[1])
-    edges = []
+    us: list[int] = []
+    vs: list[int] = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -191,8 +192,11 @@ def from_edge_list(text: str) -> Graph:
             raise InvalidArgumentError(f"bad edge line: {ln!r}") from exc
         if u >= v:
             raise InvalidArgumentError(f"edge line not in u < v form: {ln!r}")
-        edges.append((u, v))
-    return Graph(n, edges)
+        us.append(u)
+        vs.append(v)
+    # lines in canonical order get the bulk build, so a vertex without
+    # edges costs no set of its own; any others go to the constructor
+    return Graph.from_ends(n, us, vs)
 
 
 # The most vertices an edge-list header may name: a graph allocates per

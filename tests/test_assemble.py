@@ -6,11 +6,13 @@ Paper-mode constants are frozen from an independent 40-digit recomputation
 
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from balsub import generators
 from balsub.assemble import (
     Overrides,
     RunConfig,
@@ -31,16 +33,7 @@ from balsub.gadgets import (
     validate_adjuster,
     validate_hub,
 )
-from balsub.generators import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    gnp,
-    hypercube,
-    incidence_plane,
-    kdd,
-    path_graph,
-)
+from balsub.generators import complete_graph, cycle_graph, incidence_plane, kdd
 from balsub.graph import Graph, average_degree
 from balsub.outcomes import BuildFailure, InvalidArgumentError
 
@@ -296,47 +289,47 @@ def test_unit_route_certificates_are_pinned(n):
 # are the ones `random.Random("<workload>/1")` draws for those hosts.
 _PINNED_WORKLOAD_HOSTS = {
     "hypercube(8)": (
-        lambda: hypercube(8), {},
+        "hypercube", (8,), {},
         "87db50040ee48961d2d99abe5a93e9c1e97e946d5dd9e2b40d1167b3db0e0b77",
         "43d35a2e343f59ec02cceca5835c0ac1ce7bcb94b3ec2de89dc51d42308440cd",
     ),
     "kdd(20,3)": (
-        lambda: kdd(20, 3), {},
+        "kdd", (20, 3), {},
         "2046bb648ef4b657af8412ea076457fb9fe35c289cbc8231f0de06b494861a81",
         "9ec850d9b75e8a5a50ef99d29118c4dc1187fd1008a3f3813032afa0d2d41dd8",
     ),
     "incidence_plane(5)": (
-        lambda: incidence_plane(5), {"kappa_rule": "linear"},
+        "incidence_plane", (5,), {"kappa_rule": "linear"},
         "9d39e4f5cc9b751da1c192397f55448558e63b17a970820891e5342f3794649e",
         "7ad029cfa14fa96b8af19cef2b0f9cd03430e914671826f472db52f5c66ca14d",
     ),
     "complete_bipartite(14,14)": (
-        lambda: complete_bipartite(14, 14), {},
+        "complete_bipartite", (14, 14), {},
         "67736da9da491547fbbdc6970b8b0255813cc67838147b89ab615236d93135ab",
         "042e8ebf24edc69486cc1141f560b6550f7465449a64632322e20f6907f469ce",
     ),
     "gnp(50,0.3)": (
-        lambda: gnp(50, 0.3, 1475198904), {},
+        "gnp", (50, 0.3, 1475198904), {},
         "5d323715b4df4e663de64c668f8eb8b595b55ab7cbef454fc4bd66c13dbb9d67",
         "4c9687ee38f5757f88c03b97881ce2e68e1d1e1d0b83b0190811ba2a2f6b7fe4",
     ),
     "paper cycle_graph(12)": (
-        lambda: cycle_graph(12), {"mode": "paper"},
+        "cycle_graph", (12,), {"mode": "paper"},
         "9bf21758e0ae4c0bc5289db7811dfde22061035c0cee68c4fe98230978af3bfc",
         "b6ee211a52b09126b9c4eefe9760c2fcbc2f6314e12e4d4112948c59a271201e",
     ),
     "paper path_graph(12)": (
-        lambda: path_graph(12), {"mode": "paper"},
+        "path_graph", (12,), {"mode": "paper"},
         "72316ecabafeb48e9e23177832404cadb1e38bc6eb167da1d19f5ad2416750ac",
         "291c02fd7da09d3ee66b077580a7ff79b7d0b2d1c970c543a17e062c27d7feba",
     ),
     "paper hypercube(3)": (
-        lambda: hypercube(3), {"mode": "paper"},
+        "hypercube", (3,), {"mode": "paper"},
         "ff7d0e45daf76f3d8288733b1f9fbeddf0a9e96c3339f3b9a3cc08c3c096ca18",
         "4c4b1a6a703a9995e81ad4347cb003645f135f130c3a6231a3e204fbe0844e82",
     ),
     "paper gnp(12,0.45)": (
-        lambda: gnp(12, 0.45, 876077723), {"mode": "paper"},
+        "gnp", (12, 0.45, 876077723), {"mode": "paper"},
         "9d68f7efeb66924bf3963c143332b19f9c75b09d2f7d22384c7031b8c9e0c8ed",
         "f64a5269decebc8bc14d4b39287e06bea21ee7cba6dc07dd0f69571bd8e8e435",
     ),
@@ -345,12 +338,75 @@ _PINNED_WORKLOAD_HOSTS = {
 
 @pytest.mark.parametrize("name", list(_PINNED_WORKLOAD_HOSTS))
 def test_dense_and_paper_mode_certificates_are_pinned(name):
-    make, config, want_cert, want_entries = _PINNED_WORKLOAD_HOSTS[name]
-    out = top_level(make(), RunConfig(seed=1, **config))
+    family, params, config, want_cert, want_entries = _PINNED_WORKLOAD_HOSTS[name]
+    out = top_level(getattr(generators, family)(*params), RunConfig(seed=1, **config))
     assert out.certificate is not None
     cert_digest, entries_digest = _digests(out)
     assert cert_digest == want_cert
     assert entries_digest == want_entries
+
+
+# Prints the two digests of every pinned host as JSON, run by another
+# interpreter with only the checkout's src/ on its path (no pytest).
+_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from balsub import generators
+from balsub.assemble import Overrides, RunConfig, top_level
+
+def sha256(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+out = {}
+for name, family, params, config, overrides in json.load(sys.stdin):
+    g = getattr(generators, family)(*params)
+    got = top_level(g, RunConfig(seed=1, overrides=Overrides(**overrides), **config))
+    out[name] = [sha256(got.certificate.to_json_dict()), sha256(list(got.trace.entries))]
+print(json.dumps(out))
+"""
+
+
+def _interpreter(name: str, env: dict) -> str:
+    """The path of the interpreter `name` (`python3.X`), skipping the test
+    when it is not found, does not run, or reports another version."""
+    path = shutil.which(name)
+    version = name.removeprefix("python")
+    if path is None:
+        pytest.skip(f"{name} not found")
+    try:
+        done = subprocess.run(
+            [path, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+    except OSError as exc:
+        pytest.skip(f"{name} does not start: {exc}")
+    if done.returncode != 0 or done.stdout.strip() != version:
+        pytest.skip(f"{name} does not run as Python {version}")
+    return path
+
+
+@pytest.mark.parametrize("name", ["python3.10", "python3.12", "python3.13"])
+def test_pinned_certificates_hold_on_other_interpreters(src_env, name):
+    """The certificate and trace digests pinned above, byte for byte, on
+    each other interpreter the project claims that is installed here."""
+    path = _interpreter(name, src_env)
+    hosts = [
+        (f"K{n} ell=4", "complete_graph", [n], {}, {"ell": 4})
+        for n in sorted(_PINNED_UNIT_ROUTE)
+    ]
+    hosts += [
+        (host, family, list(params), config, {})
+        for host, (family, params, config, *_) in _PINNED_WORKLOAD_HOSTS.items()
+    ]
+    done = subprocess.run(
+        [path, "-c", _DIGEST_SCRIPT], input=json.dumps(hosts), env=src_env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    want = {f"K{n} ell=4": list(pins) for n, pins in _PINNED_UNIT_ROUTE.items()}
+    want.update(
+        (host, list(pins[-2:])) for host, pins in _PINNED_WORKLOAD_HOSTS.items()
+    )
+    assert json.loads(done.stdout) == want
 
 
 # Runs under `python -O`, which strips assert statements: with verification

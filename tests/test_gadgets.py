@@ -5,12 +5,14 @@ by hand on small hosts and cross-checked with independent searches inside
 the tests (girth oracle, exhaustive path-length enumeration).
 """
 
+import math
 import random
 from collections import Counter, deque
 
 import pytest
 
-from balsub import gadgets, router
+from balsub import assemble, gadgets, router
+from balsub.assemble import Overrides, RunConfig, top_level
 from balsub.connect import PathWitness
 from balsub.gadgets import (
     Adjuster,
@@ -604,8 +606,9 @@ def oracle_lean_pass(g, avoid, h0, h1, h2, h3, failure):
     """`build_unit`'s lean pass as it ran before the counting bound: every
     bare core is tried, and a core with fewer than h0 satellites is passed
     over without touching `failure`."""
+    avoid_mask = sum(1 << v for v in avoid)
     for w in [v for v in g.vertices() if v not in avoid][:40]:
-        satellites = gadgets._place_hubs(g, set(avoid) | {w}, h0 + 1, h1, h2)
+        satellites, _ = gadgets._place_hubs(g, avoid_mask | 1 << w, h0 + 1, h1, h2)
         if len(satellites) < h0:
             continue
         result = gadgets._attach(
@@ -649,6 +652,154 @@ def test_lean_pass_bound_matches_the_full_loop():
                     break
                 avoid |= unit.interior()
     assert min(fired.values()) > 0 and len(fired) == 3, fired
+
+
+def oracle_build_unit(g, avoid, h0, h1, h2, h3):
+    """`build_unit` as it ran before margins were skipped by a count: every
+    margin places its hubs, by lists of ids, and the lean pass tries every
+    bare core."""
+    avoid = frozenset(avoid)
+
+    def place(taken, count, h1, h2):
+        hubs = []
+        while len(hubs) < count:
+            cand = build_hub(g, taken, h1, h2)
+            if isinstance(cand, BuildFailure):
+                break
+            hubs.append(cand)
+            taken |= cand.all_vertices()
+        return hubs
+
+    failure = BuildFailure("hub_pool_exhausted", "no candidate hubs fit")
+    for margin in (2.0, 1.5, 1.0):
+        mh0, mh1, mh2 = (math.ceil(margin * h) for h in (h0, h1, h2))
+        taken = set(avoid)
+        cores = place(taken, 2, mh0, mh2)
+        if not cores:
+            continue
+        satellites = place(taken, h0 + 1, mh1, mh2)
+        if len(satellites) < h0:
+            failure = BuildFailure(
+                failure.reason,
+                f"margin {margin}: only {len(satellites)} satellite hubs of"
+                f" the {h0} required",
+                failure.partial,
+            )
+            continue
+        for core_hub in cores:
+            result = gadgets._attach(
+                g, core_hub.center, core_hub.b1(), cores + satellites,
+                satellites, avoid, h0, h1, h2, h3,
+            )
+            if isinstance(result, Unit):
+                return result
+            failure = result
+    return oracle_lean_pass(g, avoid, h0, h1, h2, h3, failure)
+
+
+def _skipped_by_count(g, avoid, shape, margin):
+    """Whether `build_unit`'s count rules out `margin` for this shape."""
+    h0, h1, h2 = shape[:3]
+    mh0, mh1, mh2 = (math.ceil(margin * h) for h in (h0, h1, h2))
+    free = g.n - len(avoid)
+    return (free - (1 + mh0 + mh0 * mh2)) // (1 + mh1 + mh1 * mh2) < h0
+
+
+def _assert_same_unit_result(g, avoid, shape, fired):
+    want = oracle_build_unit(g, avoid, *shape)
+    got = build_unit(g, avoid, *shape)
+    if isinstance(want, Unit):
+        assert got == want, (g, avoid, shape)
+        fired["unit"] += 1
+        return got
+    assert isinstance(got, BuildFailure), (g, avoid, shape)
+    assert (got.reason, got.detail, got.partial) == (
+        want.reason, want.detail, want.partial,
+    ), (g, avoid, shape)
+    margin = got.detail.partition(":")[0].removeprefix("margin ")
+    if margin in ("2.0", "1.5", "1.0"):
+        skipped = _skipped_by_count(g, avoid, shape, float(margin))
+        fired["replayed shortfall" if skipped else "shortfall"] += 1
+    else:
+        fired["other failure"] += 1
+    return got
+
+
+def test_build_unit_matches_the_margin_loop_oracle():
+    """Skipping the margins a vertex count rules out changes no unit and
+    no failure, on G(n, p) hosts and their bipartite halves with random
+    avoid sets and shapes; a skipped margin's shortfall is replayed where
+    it is the failure returned."""
+    rng = random.Random(26)
+    fired = Counter()
+    for trial in range(150):
+        g = gnp(rng.randint(4, 50), rng.choice((0.1, 0.2, 0.4, 0.7, 0.95)), trial)
+        # on complete bipartite hosts a margin that places a core may skip
+        # between two that the count rules out
+        sides = rng.randint(2, 30), rng.randint(2, 30)
+        for host in (g, bipartite_half(g)[0], complete_bipartite(*sides)):
+            share = rng.random() * 0.6
+            avoid = {v for v in host.vertices() if rng.random() < share}
+            shape = (
+                rng.randint(1, 6), rng.randint(1, 3),
+                rng.randint(1, 2), rng.randint(1, 4),
+            )
+            _assert_same_unit_result(host, avoid, shape, fired)
+    assert set(fired) == {
+        "unit", "shortfall", "replayed shortfall", "other failure"
+    }, fired
+
+
+@pytest.mark.parametrize("n", (80, 120))
+def test_unit_route_units_match_the_margin_loop_oracle(monkeypatch, n):
+    """Every unit the unit route builds on K_n, and the failure that ends
+    it: on K120 that is a shortfall of a margin the count skipped."""
+    calls = []
+    real = assemble.build_unit
+
+    def recorded(g, avoid, *shape):
+        calls.append((g, frozenset(avoid), shape))
+        return real(g, avoid, *shape)
+
+    monkeypatch.setattr(assemble, "build_unit", recorded)
+    top_level(complete_graph(n), RunConfig(seed=1, overrides=Overrides(ell=4)))
+    fired = Counter()
+    for g, avoid, shape in calls:
+        _assert_same_unit_result(g, avoid, shape, fired)
+    assert fired["unit"] == len(calls) - 1
+    if n == 120:
+        assert fired["replayed shortfall"] == 1
+
+
+def test_build_hub_takes_a_vertex_mask():
+    rng = random.Random(3)
+    for trial in range(60):
+        g = gnp(rng.randint(1, 40), rng.choice((0.1, 0.3, 0.6)), trial)
+        for host in (g, bipartite_half(g)[0]):
+            avoid = [v for v in host.vertices() if rng.random() < 0.3]
+            h1, h2 = rng.randint(1, 4), rng.randint(1, 3)
+            mask = sum(1 << v for v in avoid)
+            assert build_hub(host, mask, h1, h2) == build_hub(host, avoid, h1, h2)
+    g = complete_graph(6)
+    assert build_hub(g, 0b111111, 1, 1) == build_hub(g, range(6), 1, 1)
+    for mask in (-1, 1 << 6, 0b1000001):
+        with pytest.raises(InvalidVertexError):
+            build_hub(g, mask, 1, 1)
+
+
+# `build_hub` calls per `unit_route` host at seed 1; before margins were
+# skipped by a count and hubs placed on one mask: 80: 84, 100: 90,
+# 120: 292, 140: 144, 160: 167.
+_PINNED_HUB_BUILDS = {80: 65, 100: 66, 120: 260, 140: 110, 160: 139}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_HUB_BUILDS))
+def test_unit_route_hub_builds_are_pinned(monkeypatch, n):
+    builds = Counter()
+    _count_calls(monkeypatch, "build_hub", builds, "hubs")
+    out = top_level(complete_graph(n), RunConfig(seed=1, overrides=Overrides(ell=4)))
+    assert out.kind == "certificate"
+    assert builds["hubs"] == _PINNED_HUB_BUILDS[n]
 
 
 def test_unit_bad_parameters():

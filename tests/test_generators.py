@@ -325,6 +325,24 @@ def test_a_vertex_count_within_the_limit_is_read():
         from_edge_list("n +" + "9" * 5000 + "\n")
 
 
+@pytest.mark.parametrize(
+    "text", [f"n {generators.MAX_VERTICES}", f"n {generators.MAX_VERTICES}\n\n"],
+    ids=["no-final-newline", "blank-line"],
+)
+def test_the_line_loop_costs_no_object_per_vertex_without_edges(text):
+    # these take the line loop, whose lines in canonical order get the bulk
+    # build: 17 MB, where a set per vertex in the constructor peaked at 244 MB
+    assert generators._from_canonical_text(text) is None
+    graphs = []
+    assert _peak_bytes(lambda: graphs.append(from_edge_list(text))) < 25 * 10**6
+    g = graphs[0]
+    assert g.n == generators.MAX_VERTICES and g.edge_count() == 0
+    assert {g.neighbors(v) for v in (0, 1, g.n - 1)} == {()}
+    for small in ("n 5000", "n 5000\n\n0 1\n 0 3\n1 3", "n 5000\n1 3\n\n0 1\n"):
+        assert generators._from_canonical_text(small) is None
+        assert from_edge_list(small) == _line_loop(small)
+
+
 def test_vertices_without_edges_cost_no_object_of_their_own():
     # a ten-byte document naming MAX_VERTICES vertices, none with an edge:
     # they share the empty tuple, so the peak is the adjacency's pointers,
