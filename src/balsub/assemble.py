@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .certify import (
+    BudgetExhausted,
     SubdivisionCertificate,
     best_balanced_clique,
     brute_force_subdivision,
@@ -46,7 +47,6 @@ class Overrides:
 
     ell: Optional[int] = None
     target_k: Optional[int] = None
-    sparse_threshold: Optional[float] = None
     exhaustive_cap: int = EXHAUSTIVE_CAP
     node_budget: int = NODE_BUDGET
 
@@ -56,9 +56,6 @@ class Overrides:
         # the smallest clique with a branch pair to subdivide is K_2
         if self.target_k is not None and self.target_k < 2:
             raise InvalidArgumentError("target_k must be >= 2")
-        threshold = self.sparse_threshold
-        if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
-            raise InvalidArgumentError("sparse_threshold must be finite and >= 0")
         if self.exhaustive_cap < 0:
             raise InvalidArgumentError("exhaustive_cap must be >= 0")
         if self.node_budget < 0:
@@ -319,10 +316,10 @@ def _component_k_cap(g: Graph) -> int:
 def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
     """Extraction, branch selection, and the subdivision pipeline.
 
-    Desk-mode route order: sparse check (only if a threshold is set),
-    dense TK^(2) sweep, unit pipeline on the extracted expander, brute
-    force for tiny hosts.  Every certificate is re-verified against the
-    input graph before the outcome is returned.
+    Route order: sparse check (paper mode only: d/8 < ln^2 n), dense
+    TK^(2) sweep, unit pipeline on the extracted expander, brute force for
+    hosts of at most 12 vertices.  Every certificate is re-verified against
+    the input graph before the outcome is returned.
     """
     trace = PipelineTrace()
     if g.n == 0:
@@ -362,20 +359,16 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
         except InvalidArgumentError as exc:
             trace.add(f"profile transform inapplicable: {exc}")
 
-    ov = cfg.overrides
-    threshold = None
-    if cfg.mode == "paper":
-        threshold = math.log(max(g.n, 2)) ** 2
-    elif ov.sparse_threshold is not None:
-        threshold = ov.sparse_threshold
-    if threshold is not None and float(d1) < threshold:
+    threshold = math.log(max(g.n, 2)) ** 2
+    if cfg.mode == "paper" and float(d1) < threshold:
         trace.route = "sparse"
-        trace.add(
-            f"sparse regime: d1={float(d1):.6f} < threshold {threshold:.6f}"
-        )
-        cert = _brute_route(g, cfg, trace) if g.n <= 12 else None
-        return PipelineOutcome("sparse_regime", trace, certificate=cert)
+        detail = f"d1={float(d1):.6f} < threshold {threshold:.6f}"
+        trace.add(f"sparse regime: {detail}")
+        cert = _brute_route(g, cfg, trace)
+        failure = BuildFailure("sparse_regime", detail)
+        return PipelineOutcome("sparse_regime", trace, cert, failure)
 
+    ov = cfg.overrides
     if ov.ell in (None, 2):
         if ov.target_k is not None:
             start = ov.target_k
@@ -406,11 +399,10 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
             return PipelineOutcome("certificate", trace, certificate=lifted)
         trace.add(f"unit pipeline: {result.reason} ({result.detail})")
 
-    if g.n <= 12:
-        cert = _brute_route(g, cfg, trace)
-        if cert is not None:
-            trace.route = "brute_force"
-            return PipelineOutcome("certificate", trace, certificate=cert)
+    cert = _brute_route(g, cfg, trace)
+    if cert is not None:
+        trace.route = "brute_force"
+        return PipelineOutcome("certificate", trace, certificate=cert)
 
     return PipelineOutcome(
         "failure",
@@ -422,26 +414,33 @@ def top_level(g: Graph, cfg: RunConfig) -> PipelineOutcome:
 def _brute_route(
     g: Graph, cfg: RunConfig, trace: PipelineTrace
 ) -> Optional[SubdivisionCertificate]:
-    ov = cfg.overrides
-    if ov.target_k is not None and ov.ell is not None:
-        result = brute_force_subdivision(g, ov.target_k, ov.ell)
-        if isinstance(result, SubdivisionCertificate):
-            trace.add(
-                f"brute force: TK_{ov.target_k} with ell={ov.ell}"
-            )
-            return result
-        trace.add("brute force: pinned (k, ell) not embeddable")
+    """Brute force on a host of at most 12 vertices: the pinned (k, ell),
+    else the best balanced clique, searched again at a pinned ell.  One
+    trace line says whether the search found, refuted or ran out of budget."""
+    if g.n > 12:
         return None
-    best = best_balanced_clique(g)
-    if isinstance(best, tuple):
-        k, ell, cert = best
-        if ov.ell is not None and ell != ov.ell:
-            result = brute_force_subdivision(g, k, ov.ell)
-            if isinstance(result, SubdivisionCertificate):
-                trace.add(f"brute force: TK_{k} at pinned ell={ov.ell}")
-                return result
+    ov = cfg.overrides
+    k, ell = ov.target_k, ov.ell
+    if k is None or ell is None:
+        result = best_balanced_clique(g)
+        if not isinstance(result, tuple):
+            spent = isinstance(result, BudgetExhausted)
+            trace.add(
+                "brute force: "
+                + ("search budget exhausted" if spent else "no subdivision")
+            )
             return None
-        trace.add(f"brute force: TK_{k} with ell={ell}")
-        return cert
+        k, best_ell, result = result
+        if ell is None:
+            ell = best_ell
+        elif ell != best_ell:
+            result = brute_force_subdivision(g, k, ell)
+    else:
+        result = brute_force_subdivision(g, k, ell)
+    line = f"brute force: TK_{k} with ell={ell}"
+    if isinstance(result, SubdivisionCertificate):
+        trace.add(line)
+        return result
+    spent = isinstance(result, BudgetExhausted)
+    trace.add(line + (" search budget exhausted" if spent else " not embeddable"))
     return None
-

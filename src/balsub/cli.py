@@ -249,7 +249,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = Overrides(
         ell=args.override_ell,
         target_k=args.target_k,
-        sparse_threshold=args.sparse_threshold,
         exhaustive_cap=args.exhaustive_cap,
         node_budget=args.node_budget,
     )
@@ -264,12 +263,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _outcome_failure_dict(outcome: PipelineOutcome) -> dict:
-    failure = outcome.failure
     return {
         "kind": outcome.kind,
         "route": outcome.trace.route,
-        "reason": failure.reason if failure is not None else "",
-        "detail": failure.detail if failure is not None else "",
+        "reason": outcome.failure.reason,
+        "detail": outcome.failure.detail,
         "trace": list(outcome.trace.entries),
     }
 
@@ -452,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_find.add_argument("--seed", type=int, default=0)
     p_find.add_argument("--override-ell", type=int, default=None)
     p_find.add_argument("--target-k", type=int, default=None)
-    p_find.add_argument("--sparse-threshold", type=float, default=None)
     p_find.add_argument("--exhaustive-cap", type=int, default=EXHAUSTIVE_CAP)
     p_find.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p_find.add_argument("--trace", action="store_true")

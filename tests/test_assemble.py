@@ -4,6 +4,7 @@ Paper-mode constants are frozen from an independent 40-digit recomputation
 (mpmath) of the defining formulas; they are integers, so equality is exact.
 """
 
+import functools
 import hashlib
 import json
 import shutil
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from balsub import generators
+from balsub import assemble, generators
 from balsub.assemble import (
     Overrides,
     RunConfig,
@@ -171,15 +172,74 @@ def test_dense_trace_names_each_spent_budget():
     ] + ["dense route: no embedding"]
 
 
-def test_route_sparse_by_override():
-    out = top_level(
-        cycle_graph(9), RunConfig(overrides=Overrides(sparse_threshold=100.0))
-    )
+def test_route_sparse_attaches_a_brute_force_certificate():
+    out = top_level(cycle_graph(9), RunConfig(mode="paper"))
     assert out.kind == "sparse_regime"
+    assert out.failure == BuildFailure(
+        "sparse_regime", "d1=0.250000 < threshold 4.827796"
+    )
     # tiny hosts still get a brute-force certificate attached
     assert out.certificate is not None
     assert (out.certificate.k, out.certificate.ell) == (3, 3)
     assert verify_subdivision(cycle_graph(9), out.certificate).passed
+
+
+# (run config, last trace entry, (k, ell) of the certificate or None) of
+# C9's brute-force route, which the dense sweep skips at a pinned ell
+_BRUTE_ROUTE = {
+    "pinned (3, 3)": (
+        RunConfig(overrides=Overrides(target_k=3, ell=3)),
+        "brute force: TK_3 with ell=3",
+        (3, 3),
+    ),
+    "pinned (4, 3)": (
+        RunConfig(overrides=Overrides(target_k=4, ell=3)),
+        "brute force: TK_4 with ell=3 not embeddable",
+        None,
+    ),
+    "ell=5": (
+        RunConfig(overrides=Overrides(ell=5)),
+        "brute force: TK_3 with ell=5 not embeddable",
+        None,
+    ),
+    "paper": (RunConfig(mode="paper"), "brute force: TK_3 with ell=3", (3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BRUTE_ROUTE))
+def test_brute_route_says_found_or_refuted(case):
+    cfg, line, shape = _BRUTE_ROUTE[case]
+    out = top_level(cycle_graph(9), cfg)
+    assert out.trace.entries[-1] == line
+    assert sum("brute force" in e for e in out.trace.entries) == 1
+    if shape is None:
+        assert out.kind == "failure" and out.certificate is None
+        return
+    cert = out.certificate
+    assert (cert.k, cert.ell) == shape and cert.branch == (0, 3, 6)
+    assert verify_subdivision(cycle_graph(9), cert).passed
+
+
+@pytest.mark.parametrize(
+    "cfg, line",
+    [
+        (
+            RunConfig(overrides=Overrides(target_k=3, ell=3)),
+            "brute force: TK_3 with ell=3 search budget exhausted",
+        ),
+        (RunConfig(overrides=Overrides(ell=5)), "brute force: search budget exhausted"),
+        (RunConfig(mode="paper"), "brute force: search budget exhausted"),
+    ],
+    ids=["pinned (3, 3)", "ell=5", "paper"],
+)
+def test_brute_route_says_when_its_budget_is_spent(monkeypatch, cfg, line):
+    for name in ("brute_force_subdivision", "best_balanced_clique"):
+        budgeted = functools.partial(getattr(assemble, name), budget=1)
+        monkeypatch.setattr(assemble, name, budgeted)
+    out = top_level(cycle_graph(9), cfg)
+    assert out.certificate is None
+    assert out.trace.entries[-1] == line
+    assert sum("brute force" in e for e in out.trace.entries) == 1
 
 
 def test_route_sparse_in_paper_mode():

@@ -181,11 +181,15 @@ def test_find_failure_shape(capsys, monkeypatch):
 def test_find_sparse_is_exit_one(capsys, tmp_path):
     path = tmp_path / "c9.txt"
     path.write_text(to_edge_list(cycle_graph(9)))
-    code, out, _ = run(
-        capsys, ["find", str(path), "--sparse-threshold", "100"]
-    )
+    code, out, _ = run(capsys, ["find", str(path), "--mode", "paper"])
     assert code == 1
-    assert json.loads(out)["kind"] == "sparse_regime"
+    body = json.loads(out)
+    assert (body["kind"], body["route"], body["reason"]) == (
+        "sparse_regime",
+        "sparse",
+        "sparse_regime",
+    )
+    assert body["detail"] == "d1=0.250000 < threshold 4.827796"
 
 
 def test_find_trace_goes_to_stderr(capsys, tmp_path):
@@ -238,10 +242,12 @@ def test_find_refuses_stdin_that_is_not_utf8(capsys, monkeypatch):
 def test_find_exhaustive_cap(capsys, tmp_path):
     path = tmp_path / "k20.txt"
     path.write_text(to_edge_list(complete_graph(20)))
-    code, out, err = run(capsys, ["find", str(path), "--trace"])
+    # a pinned ell of 4 sends K20 to the unit route, which reads the expander
+    find = ["find", str(path), "--trace", "--override-ell", "4"]
+    code, out, err = run(capsys, find)
     assert code == 0
     assert "verdict=certified" in err
-    capped = run(capsys, ["find", str(path), "--trace", "--exhaustive-cap", "12"])
+    capped = run(capsys, find + ["--exhaustive-cap", "12"])
     assert capped[0] == 0
     assert "verdict=sampled_ok" in capped[2]
     assert capped[1] == out  # the cap changes the evidence, not the answer
@@ -256,7 +262,7 @@ def test_find_defaults_match_the_library():
 def test_find_rejects_removed_overrides(capsys, tmp_path):
     path = tmp_path / "k8.txt"
     path.write_text(to_edge_list(complete_graph(8)))
-    for flag in ("--override-m", "--override-D", "--override-c"):
+    for flag in ("--override-m", "--override-D", "--override-c", "--sparse-threshold"):
         code, out, err = run(capsys, ["find", str(path), flag, "5"])
         assert code == 2 and out == ""
         assert "unrecognized arguments" in err
@@ -271,7 +277,6 @@ def test_find_rejects_removed_overrides(capsys, tmp_path):
         ("--node-budget", ["-1"]),
         ("--target-k", ["-1", "0", "1"]),
         ("--exhaustive-cap", ["-1"]),
-        ("--sparse-threshold", ["nan", "-1", "inf"]),
     ],
 )
 def test_find_rejects_bad_run_parameters(capsys, tmp_path, flag, values):

@@ -36,13 +36,18 @@ _SCRIPT = textwrap.dedent(
     before = bound()
     with tracing.Tracer() as tracer:
         inside = bound()
-        balsub.top_level(complete_graph(6), balsub.RunConfig(seed=0))
+        # a pinned ell of 4 sends K20 to the unit route, which reads the
+        # expander, so the traced run counts the layers it measures
+        cfg = balsub.RunConfig(seed=0, overrides=balsub.Overrides(ell=4))
+        balsub.top_level(complete_graph(20), cfg)
     unwrapped = sorted(name for name in before if inside[name] is before[name])
     assert not unwrapped, unwrapped
     assert bound() == before, "a traced name was not restored"
     metrics = tracing.layer_metrics(tracer.spans)
     assert set(metrics) == set(tracing.layer_metric_units()), metrics
     assert metrics["expander.verify_expander.calls"] == 1, metrics
+    assert metrics["drc.dense_tk2.calls"] == 0, metrics
+    assert metrics["gadgets.build_hub.calls"] == 15, metrics
     print(len(before))
     """
 )
